@@ -12,13 +12,12 @@
 module J = Gmp_base.Json
 
 (* Every key whose value is (or is derived from) a wall-clock reading, plus
-   the job count and the snapshot-engine switch, which differ between the
-   two compared runs by design. *)
+   the job count, which differs between the two compared runs by design. *)
 let ignored =
   [ "wall_s"; "checker_s"; "cells_wall_s"; "pool_wall_s"; "parallel_speedup";
-    "speedup_vs_pr1"; "indexed_s"; "seed_s"; "reference_s"; "speedup_vs_seed";
+    "indexed_s"; "seed_s"; "reference_s"; "speedup_vs_seed";
     "speedup_vs_reference"; "executions_per_s"; "distinct_per_s";
-    "speedup_vs_replay"; "jobs"; "snapshots" ]
+    "speedup_vs_replay"; "jobs" ]
 
 let rec strip (j : J.t) : J.t =
   match j with

@@ -477,16 +477,6 @@ let total_sent stats =
     0
     (Gmp_net.Stats.snapshot stats)
 
-(* Wall times of the committed PR 1 BENCH_scale.json, embedded so the file
-   this run emits carries its own before/after trajectory. *)
-let pr1_wall =
-  [ (("single-crash", 64), 2.5477469);
-    (("single-crash", 128), 25.203512);
-    (("single-crash", 256), 216.997837);
-    (("churn", 32), 0.390711069);
-    (("churn", 64), 4.96368194);
-    (("churn", 128), 83.0552831) ]
-
 (* One E-scale cell, run to completion with its measurements. Pure by
    construction — the formatted table row, the JSON object and any
    expectation drift come back as data — so cells can run on worker
@@ -522,16 +512,9 @@ let scale_run ~name ~n scenario =
     Expectations.check ~name ~n ~events_fired ~messages_sent ~trace_events
       ~words_per_event
   in
-  let baseline_fields =
-    match List.assoc_opt (name, n) pr1_wall with
-    | None -> []
-    | Some pr1 ->
-      [ ("pr1_wall_s", J.float pr1);
-        ("speedup_vs_pr1", J.float (pr1 /. wall)) ]
-  in
   let json =
     J.obj
-      ([ ("name", J.string name);
+      [ ("name", J.string name);
          ("n", J.int n);
          ("wall_s", J.float wall);
          ("events_fired", J.int events_fired);
@@ -547,7 +530,6 @@ let scale_run ~name ~n scenario =
          (* deterministic snapshot (counters, detection-latency histograms):
             same seed, same cell -> byte-identical text, any jobs value *)
          ("metrics", Gmp_obs.Obs.Snapshot.to_json (Group.metrics group)) ]
-       @ baseline_fields)
   in
   { c_row = row; c_json = json; c_fails = fails; c_wall = wall }
 
@@ -637,18 +619,12 @@ let checker_speedup () =
 
 module E = Gmp_explore.Explore
 
-(* Wall time of the pre-snapshot seed explorer on the same sweep (assurance
-   model, depth 12, budget 25000), measured on the reference machine — the
-   speedup_vs_seed denominator, same convention as [pr1_wall]. *)
-let explore_seed_wall_s = 0.734
-
-(* The PR 7 acceptance measurement: bounded exploration of the assurance
-   model at the CI setting, checkpoint/restore snapshots against the
-   rebuild-and-replay oracle, sequential and partitioned. Everything except
-   wall-clock is deterministic, and the two engines must agree on all of it
-   — executions, distinct interleavings, every counter, the (absent)
-   counterexample — so any disagreement comes back as a drift failure and
-   fails the bench, mirroring CI's oracle-equivalence gate. *)
+(* Bounded exploration of the assurance model, checkpoint/restore snapshots
+   against the rebuild-and-replay oracle. Everything except wall-clock is
+   deterministic, and the two engines must agree on all of it — executions,
+   distinct interleavings, every counter, the (absent) counterexample — so
+   any disagreement comes back as a drift failure and fails the bench,
+   mirroring the test suite's oracle-equivalence cases. *)
 let explore_throughput () =
   section
     "E-explore: schedule-explorer throughput (snapshots vs replay oracle; \
@@ -657,15 +633,9 @@ let explore_throughput () =
   let model = E.assurance () in
   pr "%-16s %9s %12s %14s %12s %10s@." "engine" "wall" "exec/s"
     "distinct/s" "executions" "distinct";
-  let cell ~jobs ~snapshots =
-    let label =
-      Fmt.str "%s/%s"
-        (match jobs with None -> "seq" | Some j -> Fmt.str "jobs%d" j)
-        (if snapshots then "snapshots" else "replay")
-    in
-    let o, wall =
-      time_of (fun () -> E.explore ?jobs ~snapshots model ~depth ~budget)
-    in
+  let cell ~snapshots =
+    let label = if snapshots then "seq/snapshots" else "seq/replay" in
+    let o, wall = time_of (fun () -> E.explore ~snapshots model ~depth ~budget) in
     let s = o.E.stats in
     pr "%-16s %8.3fs %12.0f %14.0f %12d %10d@." label wall
       (float_of_int s.E.executions /. wall)
@@ -687,50 +657,29 @@ let explore_throughput () =
     in
     (label, o, wall, json)
   in
-  (* Snapshots on/off at each jobs value: the sequential engine (the CI
-     assurance gate) plus the partitioned engine at jobs 1 and jobs 4.
-     Bound one by one so the rows run (and print) in table order. *)
-  let c1 = cell ~jobs:None ~snapshots:true in
-  let c2 = cell ~jobs:None ~snapshots:false in
-  let c3 = cell ~jobs:(Some 1) ~snapshots:true in
-  let c4 = cell ~jobs:(Some 1) ~snapshots:false in
-  let c5 = cell ~jobs:(Some 4) ~snapshots:true in
-  let c6 = cell ~jobs:(Some 4) ~snapshots:false in
-  let cells = [ c1; c2; c3; c4; c5; c6 ] in
-  let outcome label = List.find (fun (l, _, _, _) -> String.equal l label) cells in
-  let wall_of label = let _, _, w, _ = outcome label in w in
-  let result_of label = let _, o, _, _ = outcome label in o in
-  (* Engine-equivalence drift checks (byte-identical outcomes). *)
-  let fails = ref [] in
-  let must_agree a b =
-    let agree = result_of a = result_of b in
-    pr "outcome %s == %s: %s@." a b (pass agree);
-    if not agree then
-      fails :=
-        Fmt.str "explorer outcome drift: %s and %s disagree (assurance, \
-                 depth %d, budget %d)" a b depth budget
-        :: !fails
+  (* Bound one by one so the rows run (and print) in table order. *)
+  let la, oa, wa, ja = cell ~snapshots:true in
+  let lb, ob, wb, jb = cell ~snapshots:false in
+  (* Engine-equivalence drift check (byte-identical outcomes). *)
+  let agree = oa = ob in
+  pr "outcome %s == %s: %s@." la lb (pass agree);
+  let fails =
+    if agree then []
+    else
+      [ Fmt.str "explorer outcome drift: %s and %s disagree (assurance, \
+                 depth %d, budget %d)" la lb depth budget ]
   in
-  must_agree "seq/snapshots" "seq/replay";
-  must_agree "jobs1/snapshots" "jobs1/replay";
-  must_agree "jobs4/snapshots" "jobs4/replay";
-  must_agree "jobs1/snapshots" "jobs4/snapshots";
-  let speedup_vs_replay = wall_of "seq/replay" /. wall_of "seq/snapshots" in
-  let speedup_vs_seed = explore_seed_wall_s /. wall_of "seq/snapshots" in
-  pr "snapshots vs in-process replay oracle: x%.2f; vs pre-snapshot seed \
-      explorer (%.3fs on the reference machine): x%.2f@."
-    speedup_vs_replay explore_seed_wall_s speedup_vs_seed;
+  let speedup_vs_replay = wb /. wa in
+  pr "snapshots vs in-process replay oracle: x%.2f@." speedup_vs_replay;
   let json =
     J.obj
       [ ("model", J.string "assurance");
         ("depth", J.int depth);
         ("budget", J.int budget);
-        ("cells", J.list (List.map (fun (_, _, _, j) -> j) cells));
-        ("seed_wall_s", J.float explore_seed_wall_s);
-        ("speedup_vs_replay", J.float speedup_vs_replay);
-        ("speedup_vs_seed", J.float speedup_vs_seed) ]
+        ("cells", J.list [ ja; jb ]);
+        ("speedup_vs_replay", J.float speedup_vs_replay) ]
   in
-  (json, List.rev !fails)
+  (json, fails)
 
 let scale ~quick ~jobs () =
   section
@@ -771,15 +720,6 @@ let scale ~quick ~jobs () =
         ("cells_wall_s", J.float cells_wall);
         ("pool_wall_s", J.float pool_wall);
         ("parallel_speedup", J.float parallel_speedup);
-        ("pr1_baseline_wall_s",
-         J.list
-           (List.map
-              (fun ((name, n), wall) ->
-                J.obj
-                  [ ("name", J.string name);
-                    ("n", J.int n);
-                    ("wall_s", J.float wall) ])
-              pr1_wall));
         ("checker_speedup_n32_churn", speedup) ]
   in
   let oc = open_out "BENCH_scale.json" in

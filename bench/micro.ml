@@ -74,25 +74,6 @@ let vc_merge_tick =
   Test.make ~name:"vc.merge_tick (n=128)"
     (Staged.stage (fun () -> local := Vc.merge_tick !local sender p1))
 
-(* The parallel explorer's shared fingerprint store: one exhaustion-commit
-   plus one prune probe per op, over a pre-populated table, keys drawn from
-   the same splitmix-style mixing the explorer uses. Single-domain numbers;
-   the cross-domain contention behaviour is covered by the unit tests. *)
-let fp_table_ops =
-  let module F = Gmp_explore.Fp_table in
-  let t = F.create () in
-  let mix k = (k * 0x9E3779B9) lxor (k lsr 13) in
-  for i = 1 to 65_536 do
-    F.note_exhausted t ~key:(mix i) ~remaining:(i land 7)
-  done;
-  let i = ref 0 in
-  Test.make ~name:"fp_table.note+prunable (64k keys)"
-    (Staged.stage (fun () ->
-         incr i;
-         let key = mix !i in
-         F.note_exhausted t ~key ~remaining:(!i land 7);
-         F.prunable t ~key ~remaining:4))
-
 (* The explorer's snapshot layer: whole-world capture and in-place rewind
    (Group.checkpoint / Group.restore). Cost is O(world) — flat array blits
    plus copy-on-write clock publishes, no per-event work — so two sizes
@@ -120,8 +101,7 @@ let tests =
        queue_add;
        engine_schedule_cancel;
        network_send;
-       vc_merge_tick;
-       fp_table_ops ]
+       vc_merge_tick ]
      @ snapshot_tests 3 @ snapshot_tests 32)
 
 (* bechamel's built-in minor_allocated reads [Gc.quick_stat], whose

@@ -375,38 +375,6 @@ let explore_cmd =
             "One-line machine-readable JSON summary on stdout (suppresses \
              progress output).")
   in
-  let jobs_term =
-    let jobs_conv =
-      let parse s =
-        match int_of_string_opt s with
-        | None -> Error (`Msg (Fmt.str "invalid job count %S" s))
-        | Some j when j < 0 ->
-          Error (`Msg (Fmt.str "job count must be >= 0, got %d" j))
-        | Some j -> Ok j
-      in
-      Arg.conv (parse, Fmt.int)
-    in
-    Arg.(
-      value & opt (some jobs_conv) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Explore with $(docv) worker domains (partitioned prefix search; \
-             deterministic: any N, including 1, gives identical results). 0 \
-             means autodetect the core count. Without this flag the classic \
-             single-domain engine runs.")
-  in
-  let snapshots_term =
-    Arg.(
-      value
-      & opt (enum [ ("on", true); ("off", false) ]) true
-      & info [ "snapshots" ] ~docv:"on|off"
-          ~doc:
-            "Checkpoint/restore backtracking (default on): enter sibling \
-             branches by restoring a world snapshot instead of re-executing \
-             the shared prefix from the root. $(b,off) keeps the \
-             rebuild-and-replay oracle engine; both produce byte-identical \
-             outcomes.")
-  in
   let replay_out_term =
     Arg.(
       value
@@ -419,8 +387,8 @@ let explore_cmd =
              counterexample exists; a nightly deep-explore job uploads it \
              as its failure artifact.")
   in
-  let go depth budget weaken expect_violation json jobs snapshots replay_out
-      procs horizon slack crashes suspicions isolations seed =
+  let go depth budget weaken expect_violation json replay_out procs horizon
+      slack crashes suspicions isolations seed =
     let base = if weaken then E.sensitivity ~seed () else E.assurance ~seed () in
     let opt v field = Option.value v ~default:field in
     let model =
@@ -434,18 +402,10 @@ let explore_cmd =
             E.isolations = opt isolations base.E.adversary.E.isolations;
             E.heal = base.E.adversary.E.heal } }
     in
-    let jobs =
-      match jobs with
-      | Some 0 -> Some (Domain.recommended_domain_count ())
-      | j -> j
-    in
     let progress s =
       if not json then Fmt.pr "... %a@." E.pp_stats s
     in
-    (match jobs with
-    | Some j when not json -> Fmt.pr "exploring with %d worker domain(s)@." j
-    | _ -> ());
-    let outcome = E.explore ~progress ?jobs ~snapshots model ~depth ~budget in
+    let outcome = E.explore ~progress model ~depth ~budget in
     let found = outcome.E.counterexample <> None in
     (* Stable exit codes, for CI gates:
          0  outcome matches expectation (violation iff --expect-violation)
@@ -487,8 +447,6 @@ let explore_cmd =
                 ("n", J.int model.E.n);
                 ("depth", J.int depth);
                 ("budget", J.int budget);
-                ("jobs", match jobs with None -> J.null | Some j -> J.int j);
-                ("snapshots", J.bool snapshots);
                 ( "stats",
                   J.obj
                     [ ("executions", J.int s.E.executions);
@@ -534,9 +492,8 @@ let explore_cmd =
           (bounded model checking) and run the GMP safety checker on each.")
     Term.(
       const go $ depth_term $ budget_term $ weaken_term $ expect_violation_term
-      $ json_term $ jobs_term $ snapshots_term $ replay_out_term $ procs_term
-      $ horizon_term $ slack_term $ crashes_term $ suspicions_term
-      $ isolations_term $ seed_term)
+      $ json_term $ replay_out_term $ procs_term $ horizon_term $ slack_term
+      $ crashes_term $ suspicions_term $ isolations_term $ seed_term)
 
 (* ---- table1 ---- *)
 

@@ -16,8 +16,8 @@
    events). The pre-snapshot engine — rebuild the group from the model
    (fixed config, seed and delay distribution make the rebuild a pure
    function of the choices) and replay every prefix from scratch — survives
-   behind [~snapshots:false] as a cross-checking oracle; both produce
-   byte-identical outcomes (asserted in the test suite and CI).
+   behind [~snapshots:false] as the reference oracle the test suite compares
+   against; both produce byte-identical outcomes.
 
    Two reductions keep the tree tractable:
 
@@ -559,8 +559,8 @@ let finish_run ?memo sess ~depth ~prune ~decide ~narrate =
     match !memo_fp with
     | Some fp -> fp
     | None ->
-      (* A pruned run's final fingerprint is never read (the controllers
-         only key completed interleavings), and a pruned run records no
+      (* A pruned run's final fingerprint is never read (the controller
+         only keys completed interleavings), and a pruned run records no
          tail keys — skip the hash. *)
       if x.x_pruned then 0 else state_fp sess.s_group st
   in
@@ -701,14 +701,12 @@ let interleaving_key frames final_fp =
     (fun h f -> fp_mix h (choice_code f.f_choice))
     (final_fp land max_int) frames
 
-(* Rightmost frame at index >= [floor] with an unexplored sibling; returns
-   the advanced prefix and the index that moved. The floor freezes a leading
-   choice prefix: the parallel engine's work items never increment inside
-   the prefix that defines them. *)
-let next_prefix ?(floor = 0) frames =
+(* Rightmost frame with an unexplored sibling; returns the advanced prefix
+   and the index that moved. *)
+let next_prefix frames =
   let arr = Array.of_list frames in
   let rec scan i =
-    if i < floor then None
+    if i < 0 then None
     else if arr.(i).f_chosen + 1 < arr.(i).f_ncands then
       Some
         ( Array.init (i + 1) (fun j ->
@@ -741,7 +739,9 @@ let shrink_counterexample m = function
                minimal);
         cx_violations = violations }
 
-let explore_seq ?progress ~snapshots m ~depth ~budget =
+let explore ?progress ?(snapshots = true) m ~depth ~budget =
+  if depth < 1 then invalid_arg "Explore.explore: depth must be positive";
+  if budget < 1 then invalid_arg "Explore.explore: budget must be positive";
   let seen : (int, int) Hashtbl.t = Hashtbl.create 4096 in
   let distinct : (int, unit) Hashtbl.t = Hashtbl.create 4096 in
   let execs = ref 0 in
@@ -843,325 +843,3 @@ let explore_seq ?progress ~snapshots m ~depth ~budget =
   in
   rounds (min depth 4);
   { stats = stats (); counterexample = shrink_counterexample m !cex }
-
-(* ---- parallel (partitioned) exploration ----
-
-   The search tree is partitioned by *choice prefixes*: a sequential
-   frontier pass enumerates the first [split_depth] decisions of every
-   execution (no pruning, so the partition is a pure function of the model),
-   and each execution that used its full decision budget becomes a work
-   item — the subtree of schedules extending that prefix. Worker domains
-   pull items off a shared queue in index order and run the ordinary
-   iterative-deepening DFS inside their item, with [next_prefix ~floor]
-   freezing the item's prefix. Each execution rebuilds its own
-   Group/Engine, so workers share no protocol state; the only shared
-   structures are the striped fingerprint table (keys salted per item, so
-   pruning scope is item-local and timing-independent) and three atomics
-   (work index, execution total, first-violating-item index).
-
-   Determinism: every worker records its executions as a self-contained
-   stream, and each item's stream is a deterministic function of (model,
-   prefix, depth) — any truncation of it is a prefix of the same stream.
-   The merge walks items in frontier order, grants each the budget left at
-   its turn, truncates or (for racily-aborted but still-needed items)
-   re-runs deterministically, and stops at the first violation in item
-   order. The result is identical for any [jobs], including 1. *)
-
-type exec_record = {
-  e_key : int option; (* interleaving key; None when state-pruned *)
-  e_frames : int;
-  e_sleep : int;
-  e_depth : int; (* iterative-deepening round this execution ran at *)
-  e_violation : (choice list * Checker.violation list) option;
-}
-
-type item_result = {
-  i_records : exec_record list; (* in DFS order *)
-  i_complete : bool; (* the item's full deterministic stream *)
-}
-
-let not_run = { i_records = []; i_complete = false }
-
-let record_of_run ~depth:d r =
-  { e_key =
-      (if r.r_pruned then None
-       else Some (interleaving_key r.r_frames r.r_final_fp));
-    e_frames = List.length r.r_frames;
-    e_sleep = r.r_sleep_skips;
-    e_depth = d;
-    e_violation =
-      (if r.r_violations = [] then None
-       else Some (List.map (fun f -> f.f_choice) r.r_frames, r.r_violations));
-  }
-
-(* Salt for item-scoped fingerprint keys. [gen] distinguishes a worker's
-   (possibly aborted) attempt from the merge's deterministic re-run, so the
-   re-run never sees entries the aborted attempt committed. *)
-let item_salt i gen = fp_mix (fp_mix 0x9e3779b9 (i + 1)) gen
-
-(* Phase 1: enumerate the tree of the first [split] decisions, unpruned.
-   Returns the frontier's execution records (they are real executions —
-   prefix + default tail — and contribute interleaving keys exactly like a
-   sequential round at depth [split]), the work-item prefixes in DFS order,
-   and whether a violation ended the pass. *)
-let frontier ?progress ~observe ~snapshots m ~split ~budget =
-  let records = ref [] in
-  let items = ref [] in
-  let execs = ref 0 in
-  let sess = if snapshots then Some (make_session m ~ncps:split) else None in
-  let prefix = ref [||] in
-  let resume = ref None in
-  let no_prune _ _ = false in
-  let memo : (int, tail_rec) Hashtbl.t = Hashtbl.create 1024 in
-  let stop = ref false in
-  while (not !stop) && !execs < budget do
-    incr execs;
-    let r =
-      match sess with
-      | Some sess -> (
-        match !resume with
-        | None ->
-          finish_run ~memo sess ~depth:split ~prune:no_prune
-            ~decide:(fun _ _ -> 0)
-            ~narrate:None
-        | Some (i, k) ->
-          resume_run ~memo sess ~depth:split ~prune:no_prune ~narrate:None
-            ~at:i ~choice:k)
-      | None ->
-        let p = !prefix in
-        let decide k _cands = if k < Array.length p then p.(k) else 0 in
-        execute ~memo m ~depth:split ~prune:no_prune ~decide ~narrate:None
-    in
-    records := record_of_run ~depth:split r :: !records;
-    if r.r_violations <> [] then stop := true
-    else begin
-      if List.length r.r_frames = split then
-        items :=
-          Array.of_list (List.map (fun f -> f.f_chosen) r.r_frames) :: !items;
-      match next_prefix r.r_frames with
-      | None -> stop := true
-      | Some (p, i) ->
-        prefix := p;
-        resume := Some (i, p.(i))
-    end;
-    match progress with
-    | Some f when !execs mod 200 = 0 -> f (observe ())
-    | _ -> ()
-  done;
-  (List.rev !records, Array.of_list (List.rev !items), !execs)
-
-(* One work item: iterative-deepening DFS under a frozen choice prefix.
-   Deterministic given (m, depth, cap, item_prefix, salt scope); [tick] and
-   [should_abort] are the only impure hooks (worker-side bookkeeping — the
-   merge re-runs with no-ops when a racy abort cut a stream short). *)
-let run_item ~snapshots m ~depth ~cap ~tbl ~salt ~item_prefix ~tick
-    ~should_abort =
-  let floor = Array.length item_prefix in
-  (* Item-local tail memo: deterministic per (model, prefix, depth) and
-     domain-private, so worker timing cannot leak into the merge. *)
-  let memo : (int, tail_rec) Hashtbl.t = Hashtbl.create 1024 in
-  let records = ref [] in
-  let count = ref 0 in
-  let aborted = ref false in
-  let violated = ref false in
-  let prune fp remaining =
-    Fp_table.prunable tbl ~key:(fp_mix salt fp) ~remaining
-  in
-  let commit frames upto =
-    List.iteri
-      (fun i f ->
-        if i > upto then
-          Fp_table.note_exhausted tbl ~key:(fp_mix salt f.f_fp)
-            ~remaining:f.f_remaining)
-      frames
-  in
-  let round d =
-    let sess = if snapshots then Some (make_session m ~ncps:d) else None in
-    let prefix = ref item_prefix in
-    let resume = ref None in
-    let exhausted = ref false in
-    let deeper = ref false in
-    while (not !exhausted) && (not !violated) && not !aborted do
-      if !count >= cap || should_abort () then aborted := true
-      else begin
-        incr count;
-        tick ();
-        let r =
-          match sess with
-          | Some sess -> (
-            match !resume with
-            | None ->
-              (* Round opener: drive the fresh world through the item's
-                 frozen prefix; later runs resume at indices >= floor, so
-                 the prefix executes exactly once per round. *)
-              let decide k _cands =
-                if k < Array.length item_prefix then item_prefix.(k) else 0
-              in
-              finish_run ~memo sess ~depth:d ~prune ~decide ~narrate:None
-            | Some (i, k) ->
-              resume_run ~memo sess ~depth:d ~prune ~narrate:None ~at:i
-                ~choice:k)
-          | None ->
-            let p = !prefix in
-            let decide k _cands = if k < Array.length p then p.(k) else 0 in
-            execute ~memo m ~depth:d ~prune ~decide ~narrate:None
-        in
-        records := record_of_run ~depth:d r :: !records;
-        if r.r_hit_depth then deeper := true;
-        if r.r_violations <> [] then violated := true
-        else begin
-          match next_prefix ~floor r.r_frames with
-          | None ->
-            commit r.r_frames (floor - 1);
-            exhausted := true
-          | Some (p, i) ->
-            commit r.r_frames i;
-            prefix := p;
-            resume := Some (i, p.(i))
-        end
-      end
-    done;
-    !deeper
-  in
-  let rec rounds d =
-    let deeper = round d in
-    if (not !violated) && (not !aborted) && d < depth && deeper then
-      rounds (min depth (d * 2))
-  in
-  rounds (min depth (max 4 (floor + 1)));
-  { i_records = List.rev !records; i_complete = not !aborted }
-
-let default_split_depth = 3
-
-let explore_parallel ?progress ~snapshots m ~depth ~budget ~jobs ~split_depth
-    =
-  let split = max 1 (min split_depth depth) in
-  (* Merge-side accumulators; [observe] snapshots them for [progress]. *)
-  let distinct : (int, unit) Hashtbl.t = Hashtbl.create 4096 in
-  let execs = ref 0 in
-  let frames_total = ref 0 in
-  let state_pruned = ref 0 in
-  let sleep_skips = ref 0 in
-  let max_d = ref 0 in
-  let cex = ref None in
-  let observe () =
-    { executions = !execs;
-      distinct = Hashtbl.length distinct;
-      frames = !frames_total;
-      state_pruned = !state_pruned;
-      sleep_pruned = !sleep_skips;
-      max_depth = !max_d }
-  in
-  let accept r =
-    incr execs;
-    frames_total := !frames_total + r.e_frames;
-    sleep_skips := !sleep_skips + r.e_sleep;
-    if r.e_depth > !max_d then max_d := r.e_depth;
-    (match r.e_key with
-    | None -> incr state_pruned
-    | Some k -> if not (Hashtbl.mem distinct k) then Hashtbl.add distinct k ());
-    match r.e_violation with
-    | Some v -> cex := Some v
-    | None -> ()
-  in
-  (* Phase 1: frontier (main domain, sequential). Its records are final —
-     accept them as we go so [progress] sees live counts. *)
-  let frontier_records, items, frontier_execs =
-    frontier ?progress ~observe ~snapshots m ~split ~budget
-  in
-  List.iter accept frontier_records;
-  let nitems = Array.length items in
-  let cap = budget - frontier_execs in
-  let results = Array.make nitems not_run in
-  let tbl = Fp_table.create () in
-  (* Phase 2: worker domains. Only entered when there is real work and no
-     frontier violation (first-in-DFS-order violation already wins). *)
-  if nitems > 0 && !cex = None && cap > 0 then begin
-    let next = Atomic.make 0 in
-    let total = Atomic.make frontier_execs in
-    let first_violating = Atomic.make max_int in
-    let note_violation i =
-      let rec go () =
-        let cur = Atomic.get first_violating in
-        if i < cur && not (Atomic.compare_and_set first_violating cur i) then
-          go ()
-      in
-      go ()
-    in
-    (* Workers only read the category registry; assert that loudly. *)
-    Gmp_platform.Stats.freeze ();
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < nitems then begin
-          if Atomic.get first_violating > i && Atomic.get total < budget then begin
-            let res =
-              run_item ~snapshots m ~depth ~cap ~tbl ~salt:(item_salt i 0)
-                ~item_prefix:items.(i)
-                ~tick:(fun () -> Atomic.incr total)
-                ~should_abort:(fun () ->
-                  Atomic.get first_violating < i || Atomic.get total >= budget)
-            in
-            if
-              List.exists (fun r -> r.e_violation <> None) res.i_records
-            then note_violation i;
-            results.(i) <- res
-          end;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let domains =
-      List.init (min jobs nitems) (fun _ -> Domain.spawn worker)
-    in
-    List.iter Domain.join domains;
-    Gmp_platform.Stats.thaw ()
-  end;
-  (* Phase 3: deterministic merge in frontier order. An item is granted
-     whatever budget is left at its turn; a stored stream at least that long
-     is truncated (any prefix of an item's stream is the stream of a smaller
-     cap), a complete shorter stream is taken whole, and an incomplete
-     shorter stream — a worker aborted by the racy budget/violation signals
-     — is re-run here with the deterministic cap and a fresh salt
-     generation. *)
-  let i = ref 0 in
-  while !cex = None && !i < nitems && !execs < budget do
-    let remaining = budget - !execs in
-    let stored = results.(!i) in
-    let res =
-      if stored.i_complete || List.length stored.i_records >= remaining then
-        stored
-      else
-        run_item ~snapshots m ~depth ~cap:remaining ~tbl
-          ~salt:(item_salt !i 1) ~item_prefix:items.(!i)
-          ~tick:(fun () -> ())
-          ~should_abort:(fun () -> false)
-    in
-    let rec take k = function
-      | [] -> ()
-      | r :: rest ->
-        if k > 0 && !cex = None then begin
-          accept r;
-          take (k - 1) rest
-        end
-    in
-    take remaining res.i_records;
-    incr i;
-    match progress with
-    | Some f when !i mod 50 = 0 -> f (observe ())
-    | _ -> ()
-  done;
-  { stats = observe (); counterexample = shrink_counterexample m !cex }
-
-let explore ?progress ?jobs ?(split_depth = default_split_depth)
-    ?(snapshots = true) m ~depth ~budget =
-  if depth < 1 then invalid_arg "Explore.explore: depth must be positive";
-  if budget < 1 then invalid_arg "Explore.explore: budget must be positive";
-  if split_depth < 1 then
-    invalid_arg "Explore.explore: split_depth must be positive";
-  match jobs with
-  | None -> explore_seq ?progress ~snapshots m ~depth ~budget
-  | Some j when j < 1 -> invalid_arg "Explore.explore: jobs must be >= 1"
-  | Some jobs ->
-    explore_parallel ?progress ~snapshots m ~depth ~budget ~jobs ~split_depth

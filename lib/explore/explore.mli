@@ -95,8 +95,6 @@ val pp_outcome : outcome Fmt.t
 
 val explore :
   ?progress:(stats -> unit) ->
-  ?jobs:int ->
-  ?split_depth:int ->
   ?snapshots:bool ->
   model ->
   depth:int ->
@@ -104,36 +102,23 @@ val explore :
   outcome
 (** Enumerate interleavings of [model] with at most [depth] recorded
     branching choices per execution and at most [budget] executions in
-    total, deepening iteratively (4, 8, ... up to [depth]). Stops at the
-    first safety violation; the returned counterexample is already shrunk
-    and replay-verified. Fully deterministic: same model, depth and budget
-    give the same outcome. [progress] is invoked every few hundred
-    executions.
-
-    Without [jobs], the classic single-domain engine runs (one global
-    commit-at-exhaustion fingerprint table). With [jobs = k >= 1], the
-    search is partitioned: a sequential frontier pass enumerates every
-    choice prefix of [split_depth] (default 3) decisions, each full prefix
-    becomes a work item, and [k] worker domains drain the item queue, each
-    rebuilding its own groups and pruning against a shared mutex-striped
-    fingerprint table whose keys are salted per item. Results are merged in
-    frontier order under the global budget, so the outcome — violations,
-    distinct-interleaving count, every statistic — is identical for every
-    [jobs] value, including 1. It can differ from the [jobs]-less engine
-    only in [distinct]/[state_pruned] (pruning scope is per work item
-    rather than global — a documented, deterministic difference); the
-    violation verdict never differs. Raises [Invalid_argument] for
-    [jobs < 1].
+    total, deepening iteratively (4, 8, ... up to [depth]). One
+    commit-at-exhaustion fingerprint table prunes across the whole search.
+    Stops at the first safety violation; the returned counterexample is
+    already shrunk and replay-verified. Fully deterministic: same model,
+    depth and budget give the same outcome. [progress] is invoked every few
+    hundred executions. Raises [Invalid_argument] for [depth < 1] or
+    [budget < 1].
 
     [snapshots] (default [true]) selects checkpoint/restore backtracking:
     each DFS round runs in one world, captures a {!Gmp_runtime.Group}
     checkpoint at every decision frame, and enters sibling branches by
     restoring the frame where the prefix increments instead of re-executing
     the shared prefix from the root — O(world) per backtrack instead of
-    O(prefix events). [~snapshots:false] keeps the original
-    rebuild-and-replay engine as a cross-checking oracle; the two produce
-    byte-identical outcomes (every statistic, the distinct-interleaving
-    count and the counterexample) for any [jobs] value. *)
+    O(prefix events). [~snapshots:false] switches to the original
+    rebuild-and-replay engine, the reference oracle the test suite compares
+    against: the two produce byte-identical outcomes (every statistic, the
+    distinct-interleaving count and the counterexample). *)
 
 val replay : model -> choice list -> Gmp_core.Checker.violation list
 (** Re-execute a recorded choice list on a freshly built group (prefix

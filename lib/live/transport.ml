@@ -508,17 +508,23 @@ let read_conn st conn handle =
     { reply = (fun bytes -> if not conn.conn_closed then enqueue st conn bytes);
       learn =
         (fun pid ->
-          if conn.peer = None then conn.peer <- Some pid;
-          let r = route_for st pid in
-          (* Adopt the inbound connection as the route if none exists:
-             replies to a joiner ride the stream it opened. A configured
-             endpoint (if any) is kept for reconnection later. *)
-          match r.conn with
-          | None ->
-            r.conn <- Some conn;
-            r.backoff <- 0.0;
-            r.next_attempt <- 0.0
-          | Some _ -> ()) }
+          (* [learn] may run after the frame's connection died (a netem
+             delay holds the frame past [kill_conn]); a closed conn must
+             not become a route, or its fd number - possibly reused by a
+             new socket - would be closed a second time later. *)
+          if not conn.conn_closed then begin
+            if conn.peer = None then conn.peer <- Some pid;
+            let r = route_for st pid in
+            (* Adopt the inbound connection as the route if none exists:
+               replies to a joiner ride the stream it opened. A configured
+               endpoint (if any) is kept for reconnection later. *)
+            match r.conn with
+            | None ->
+              r.conn <- Some conn;
+              r.backoff <- 0.0;
+              r.next_attempt <- 0.0
+            | Some _ -> ()
+          end) }
   in
   let rec go () =
     if conn.conn_closed then ()
@@ -601,7 +607,7 @@ let tcp ~cfg ~bind ~now ~log () =
     remove_peer =
       (fun pid ->
         (match Pid.Tbl.find_opt st.routes pid with
-        | Some { conn = Some conn; _ } ->
+        | Some { conn = Some conn; _ } when not conn.conn_closed ->
           (* Graceful teardown of an excluded peer's stream: no counter,
              no backoff - the route itself is forgotten. *)
           conn.conn_closed <- true;

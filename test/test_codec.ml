@@ -67,8 +67,12 @@ let golden_messages : (string * Wire.t) list =
           prop_faulty = [] } );
     ("app", Wire.App { app_ver = 1; payload = Codec.Blob "hi\x00\xff" }) ]
 
+(* Resolved against the test binary, not the working directory, so the
+   suite passes however it is launched. *)
+let golden_dir = Filename.concat (Filename.dirname Sys.executable_name) "golden"
+
 let read_golden name =
-  let path = Filename.concat "golden" (name ^ ".bin") in
+  let path = Filename.concat golden_dir (name ^ ".bin") in
   let ic = open_in_bin path in
   let n = in_channel_length ic in
   let s = really_input_string ic n in

@@ -141,12 +141,19 @@ let test_sensitivity_finds_hole () =
 let test_snapshots_oracle_equivalence () =
   (* The checkpoint/restore engine (default) and the rebuild-and-replay
      oracle must produce byte-identical outcomes: every statistic, the
-     distinct-interleaving count and the (absent) counterexample. *)
+     distinct-interleaving count and the (absent) counterexample. The
+     larger setting spends most of its budget in the depth-8 round, with
+     about four times the state-pruned executions. *)
   let m = E.assurance () in
-  let on = E.explore ~snapshots:true m ~depth:8 ~budget:3000 in
-  let off = E.explore ~snapshots:false m ~depth:8 ~budget:3000 in
-  check bool "assurance: on == off (full outcome)" true (on = off);
-  check bool "actually explored" true (on.E.stats.E.distinct > 1000)
+  List.iter
+    (fun (depth, budget) ->
+      let on = E.explore ~snapshots:true m ~depth ~budget in
+      let off = E.explore ~snapshots:false m ~depth ~budget in
+      check bool
+        (Fmt.str "assurance depth %d: on == off (full outcome)" depth)
+        true (on = off);
+      check bool "actually explored" true (on.E.stats.E.distinct > 1000))
+    [ (8, 3000); (10, 8000) ]
 
 let test_snapshots_oracle_equivalence_sensitivity () =
   (* Same equality when a violation is found: identical failing execution
@@ -157,68 +164,7 @@ let test_snapshots_oracle_equivalence_sensitivity () =
   check bool "sensitivity: on == off (full outcome)" true (on = off);
   check bool "counterexample found" true (on.E.counterexample <> None)
 
-let test_snapshots_jobs_equivalence () =
-  (* The equality must also hold inside the partitioned engine, for every
-     jobs value (workers backtrack by restore inside their items). *)
-  let m = E.assurance () in
-  List.iter
-    (fun jobs ->
-      let on = E.explore ~jobs ~snapshots:true m ~depth:8 ~budget:2000 in
-      let off = E.explore ~jobs ~snapshots:false m ~depth:8 ~budget:2000 in
-      check bool (Fmt.str "jobs %d: on == off (full outcome)" jobs) true
-        (on = off))
-    [ 1; 2; 4 ]
-
-(* ---- partitioned parallel explorer ---- *)
-
-let test_parallel_jobs_equivalent () =
-  (* The partitioned engine's contract: every jobs value — including 1 —
-     yields the same outcome, statistics included, because work items are
-     merged in frontier order under the global budget regardless of which
-     domain ran them or when. *)
-  let m = E.assurance () in
-  let o1 = E.explore ~jobs:1 m ~depth:8 ~budget:2000 in
-  let o2 = E.explore ~jobs:2 m ~depth:8 ~budget:2000 in
-  let o4 = E.explore ~jobs:4 m ~depth:8 ~budget:2000 in
-  check bool "jobs 1 = jobs 2 (full outcome)" true (o1 = o2);
-  check bool "jobs 1 = jobs 4 (full outcome)" true (o1 = o4);
-  check bool "actually explored" true (o1.E.stats.E.distinct > 500);
-  (* Verdict agreement with the classic sequential engine (the distinct /
-     state_pruned counts may differ — pruning is item-scoped there — but a
-     clean model must stay clean). *)
-  let seq = E.explore m ~depth:8 ~budget:2000 in
-  check bool "verdict matches sequential" true
-    (seq.E.counterexample = None && o1.E.counterexample = None)
-
-let test_parallel_sensitivity_finds_hole () =
-  (* The known no-majority divergence must be found — identically — for
-     every jobs value, and the counterexample must match what the
-     sequential engine reports. *)
-  let m = E.sensitivity () in
-  let seq = E.explore m ~depth:8 ~budget:600 in
-  let outcomes =
-    List.map (fun jobs -> E.explore ~jobs m ~depth:8 ~budget:600) [ 1; 2; 4 ]
-  in
-  let cx o =
-    match o.E.counterexample with
-    | None -> Alcotest.fail "parallel explorer missed the no-majority hole"
-    | Some cx -> cx
-  in
-  let first = cx (List.hd outcomes) in
-  List.iter
-    (fun o ->
-      check bool "identical counterexample across jobs" true (cx o = first))
-    (List.tl outcomes);
-  check bool "same violations as the sequential engine" true
-    (match seq.E.counterexample with
-    | None -> false
-    | Some scx -> scx.E.cx_violations = first.E.cx_violations);
-  check bool "same minimal schedule as the sequential engine" true
-    (match seq.E.counterexample with
-    | None -> false
-    | Some scx -> scx.E.cx_choices = first.E.cx_choices)
-
-let test_parallel_rejects_bad_jobs () =
+let test_rejects_bad_bounds () =
   let m = E.assurance () in
   let raises f =
     try
@@ -226,45 +172,18 @@ let test_parallel_rejects_bad_jobs () =
       false
     with Invalid_argument _ -> true
   in
-  check bool "jobs 0 rejected" true
-    (raises (fun () -> E.explore ~jobs:0 m ~depth:4 ~budget:10));
-  check bool "jobs -1 rejected" true
-    (raises (fun () -> E.explore ~jobs:(-1) m ~depth:4 ~budget:10));
-  check bool "split_depth 0 rejected" true
-    (raises (fun () -> E.explore ~jobs:1 ~split_depth:0 m ~depth:4 ~budget:10))
+  check bool "depth 0 rejected" true
+    (raises (fun () -> E.explore m ~depth:0 ~budget:10));
+  check bool "budget 0 rejected" true
+    (raises (fun () -> E.explore m ~depth:4 ~budget:0))
 
-let test_fp_table_contention () =
-  (* Hammer one shared table from several domains with interleaved
-     note/prune traffic on overlapping keys; the max-merge invariant must
-     hold afterwards for every key, whatever the interleaving was. *)
-  let module F = Gmp_explore.Fp_table in
-  let t = F.create ~shards:8 () in
-  let keys = 1000 and writers = 4 in
-  let worker w () =
-    for i = 0 to keys - 1 do
-      (* Writer w records remaining = (i + w) mod 7; all writers hit every
-         key, so the surviving value must be the max over w. *)
-      F.note_exhausted t ~key:i ~remaining:((i + w) mod 7);
-      ignore (F.prunable t ~key:i ~remaining:3 : bool)
-    done
-  in
-  let domains = List.init writers (fun w -> Domain.spawn (worker w)) in
-  List.iter Domain.join domains;
-  check int "every key present exactly once" keys (F.length t);
-  check int "shard sizes sum to length" keys
-    (Array.fold_left ( + ) 0 (F.shard_sizes t));
-  for i = 0 to keys - 1 do
-    let expected_max =
-      List.fold_left
-        (fun acc w -> max acc ((i + w) mod 7))
-        0
-        (List.init writers Fun.id)
-    in
-    if not (F.prunable t ~key:i ~remaining:expected_max) then
-      Alcotest.failf "key %d lost its max-merged value" i;
-    if F.prunable t ~key:i ~remaining:(expected_max + 1) then
-      Alcotest.failf "key %d over-merged past the max" i
-  done
+let test_nightly_sweep_exhausts () =
+  (* The nightly deep sweep's setting: the whole depth-20 tree fits well
+     inside the budget, so the search ends by exhaustion, not by budget. *)
+  let o = E.explore (E.assurance ()) ~depth:20 ~budget:1_500_000 in
+  check bool "no violation" true (o.E.counterexample = None);
+  check int "executions to exhaustion" 411_470 o.E.stats.E.executions;
+  check int "distinct interleavings" 62_488 o.E.stats.E.distinct
 
 let test_replay_no_choices_is_default_run () =
   (* An empty choice list replays the default deterministic schedule,
@@ -293,15 +212,9 @@ let suite =
       `Quick test_snapshots_oracle_equivalence;
     Alcotest.test_case "explore: snapshots == replay oracle (sensitivity)"
       `Quick test_snapshots_oracle_equivalence_sensitivity;
-    Alcotest.test_case "explore: snapshots == oracle at jobs 1/2/4" `Quick
-      test_snapshots_jobs_equivalence;
-    Alcotest.test_case "explore: parallel jobs 1/2/4 agree exactly" `Quick
-      test_parallel_jobs_equivalent;
-    Alcotest.test_case "explore: parallel finds the hole identically" `Quick
-      test_parallel_sensitivity_finds_hole;
-    Alcotest.test_case "explore: bad jobs/split_depth rejected" `Quick
-      test_parallel_rejects_bad_jobs;
-    Alcotest.test_case "fp_table: concurrent max-merge invariant" `Quick
-      test_fp_table_contention;
+    Alcotest.test_case "explore: bad depth/budget rejected" `Quick
+      test_rejects_bad_bounds;
+    Alcotest.test_case "explore: nightly depth-20 sweep exhausts" `Slow
+      test_nightly_sweep_exhausts;
     Alcotest.test_case "explore: empty replay = default schedule" `Quick
       test_replay_no_choices_is_default_run ]

@@ -15,7 +15,12 @@ open Gmp_live
 
 let check = Alcotest.check
 
-let fixture name = Filename.concat "fixtures/live" name
+(* Resolved against the test binary, not the working directory, so the
+   suite passes however it is launched. *)
+let fixture name =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) "fixtures/live")
+    name
 
 let survivors = [ "p0"; "p1"; "p3"; "p4" ]
 

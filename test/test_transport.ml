@@ -3,8 +3,9 @@
    frame bytes on the wire - no envelope the pre-seam runtime didn't
    have), and the TCP transport end-to-end: framed exchange over real
    streams, lazy reconnection with backoff against a peer that isn't up
-   yet, and half-open detection when an established stream stops
-   draining. *)
+   yet, half-open detection when an established stream stops draining,
+   and no route adopted from a connection that died before its frame's
+   [learn] ran. *)
 
 open Gmp_base
 open Gmp_core
@@ -332,6 +333,52 @@ let test_tcp_half_open_detection () =
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !accepted;
   Unix.close listener
 
+let test_tcp_late_learn_on_dead_conn () =
+  (* A frame's [learn] can run after its connection died: the node holds
+     the frame in a netem delay while [kill_conn] closes the fd. The dead
+     conn must not become the route, or [remove_peer] would close its fd
+     number a second time - by then possibly a fresh socket's. *)
+  let t =
+    Transport.make ~kind:Transport.Tcp ~bind:(Endpoint.loopback ~port:0)
+      ~now:Unix.gettimeofday ~log:ignore ()
+  in
+  let client = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect client (Transport.resolve (t.Transport.endpoint ()));
+  let frame = Codec.encode_frame (Codec.Ack { src = p 7; ack_next = 1 }) in
+  ignore (Unix.write_substring client frame 0 (String.length frame) : int);
+  let origin = ref None in
+  let pump_until stop =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (stop ())) && Unix.gettimeofday () < deadline do
+      ignore (Unix.select (t.Transport.rfds ()) [] [] 0.05);
+      t.Transport.drain (fun ~origin:o _ -> origin := Some o)
+    done
+  in
+  pump_until (fun () -> !origin <> None);
+  let origin =
+    match !origin with Some o -> o | None -> Alcotest.fail "frame never arrived"
+  in
+  (* Close the client's stream and drain until the server side sees EOF.
+     The client fd stays allocated, so the fresh socket below reuses the
+     server-side fd number [kill_conn] just released. *)
+  Unix.shutdown client Unix.SHUTDOWN_ALL;
+  let counter name = List.assoc name (t.Transport.counters ()) in
+  pump_until (fun () -> counter "conn_drops" >= 1);
+  check int "server side saw EOF" 1 (counter "conn_drops");
+  let fresh = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  origin.Transport.learn (p 7);
+  t.Transport.send ~dst:(p 7) frame;
+  check int "no route was adopted from the dead conn" 1
+    (counter "no_route_drops");
+  t.Transport.remove_peer (p 7);
+  check bool "the fresh fd is still open" true
+    (match Unix.fstat fresh with
+    | _ -> true
+    | exception Unix.Unix_error (Unix.EBADF, _, _) -> false);
+  Unix.close fresh;
+  Unix.close client;
+  t.Transport.close ()
+
 let suite =
   [ Alcotest.test_case "endpoint: parse & print" `Quick test_endpoint_parse;
     Alcotest.test_case "endpoint: make validates" `Quick
@@ -346,4 +393,6 @@ let suite =
     Alcotest.test_case "tcp: lazy reconnect with backoff" `Slow
       test_tcp_reconnect_with_backoff;
     Alcotest.test_case "tcp: half-open stream detection" `Slow
-      test_tcp_half_open_detection ]
+      test_tcp_half_open_detection;
+    Alcotest.test_case "tcp: late learn on a dead conn adopts no route" `Quick
+      test_tcp_late_learn_on_dead_conn ]
