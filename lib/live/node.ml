@@ -7,23 +7,12 @@
    timers, so - exactly as in the simulator - protocol callbacks never
    run concurrently and the core needs no locks.
 
-   Between nodes runs a go-back-N ARQ per ordered process pair (the
-   paper's footnote 2 channel: sequence numbers plus acknowledgements over
-   a lossy medium). The ARQ lives above the transport seam on purpose:
-   even TCP is only best-effort here (connections die, half-open streams
-   are killed, stalled outboxes drop frames), so retransmission remains
-   the sole owner of reliability on either wire and the protocol's
-   behavior does not depend on which transport carries it:
-
-     - sender: frames get consecutive [chan_seq] numbers and wait in an
-       unacked queue; a per-destination timer retransmits the whole window
-       on a timeout that backs off exponentially (doubling per silent
-       round, capped at [rto_max], reset to [rto] on ack progress), so
-       sustained loss degrades into paced recovery instead of an
-       rto-periodic retransmit storm;
-     - receiver: delivers exactly the next expected sequence number (FIFO,
-       exactly-once), acks cumulatively on every data frame, drops
-       out-of-order frames (go-back-N keeps no reorder buffer).
+   Between nodes runs [Gmp_net.Arq]'s go-back-N state machine, driven
+   here over the transport and the timer wheel. It lives above the
+   transport seam on purpose: even TCP is only best-effort here
+   (connections die, half-open streams are killed, stalled outboxes drop
+   frames), so retransmission is the sole owner of reliability on either
+   wire.
 
    Fault injection is receiver-side, at message ingress - after the
    transport has reassembled a complete frame, before the protocol sees
@@ -54,41 +43,15 @@ module Endpoint = Gmp_net.Endpoint
 module Rng = Gmp_sim.Rng
 module Obs = Gmp_obs.Obs
 
-type out_entry = {
-  e_seq : int;
-  e_bytes : string; (* encoded frame *)
-  e_sent_at : float;
-  mutable e_clean : bool; (* never retransmitted: rtt-sampleable (Karn) *)
-}
-
-type out_chan = {
-  mutable next_seq : int;
-  mutable base : int; (* lowest unacked seq *)
-  unacked : out_entry Queue.t;
-  mutable rtimer : Timers.entry option;
-  mutable cur_rto : float; (* current backoff value, in [rto, rto_max] *)
-  mutable quiet_rounds : int; (* retransmit rounds since last ack progress *)
-}
-
-type in_chan = { mutable next_expected : int }
-
-type counters = {
-  mutable data_frames_sent : int; (* first transmissions, not resends *)
-  mutable retransmissions : int; (* individual frames re-sent *)
-  mutable retransmit_rounds : int; (* retransmit-timer fires *)
-  mutable dups_suppressed : int; (* data below next_expected: seen before *)
-  mutable out_of_window_drops : int; (* data above next_expected (go-back-N) *)
-  mutable netem_dropped : int;
-  mutable netem_duplicated : int;
-  mutable netem_reordered : int;
-}
+module Arq = Gmp_net.Arq.Machine
 
 type t = {
   pid : Pid.t;
   transport : Transport.t;
   timers : Timers.t;
-  out_chans : out_chan Pid.Tbl.t;
-  in_chans : in_chan Pid.Tbl.t;
+  arq : Arq.config;
+  links : (Vector_clock.t * Wire.t, Timers.entry) Arq.sender Pid.Tbl.t;
+  receivers : Arq.receiver Pid.Tbl.t;
   mutable blackholed : Pid.Set.t; (* fault injection: drop their frames *)
   mutable disconnected : Pid.Set.t; (* S1: permanent incoming disconnect *)
   vc : Vector_clock.Mutable.clock; (* copy-on-write: snapshot to publish *)
@@ -97,10 +60,7 @@ type t = {
   mutable stopping : bool; (* orchestrator asked for clean shutdown *)
   mutable receiver : src:Pid.t -> Wire.t -> unit;
   last_now : float ref; (* monotonicity floor; shared with the transport *)
-  ctr : counters;
   stats : Stats.t;
-  rto : float;
-  rto_max : float;
   (* netem: the node's default incoming-link model, per-peer overrides,
      and one seeded RNG stream per link (control frames get their own). *)
   mutable netem_default : Netem.t;
@@ -109,22 +69,20 @@ type t = {
   link_rngs : Rng.t Pid.Tbl.t;
   ctrl_rng : Rng.t;
   registry : Obs.registry;
-  h_rtt : Obs.histogram; (* clean-sample ack round-trips, wall seconds *)
-  h_backoff : Obs.histogram; (* retransmit rounds per recovered quiet spell *)
+  netem_dropped : Obs.counter;
+  netem_duplicated : Obs.counter;
+  netem_reordered : Obs.counter;
   log : string -> unit;
 }
 
 (* Canonical metric names — the one vocabulary shared by the registry,
    the JSONL summary lines and the orchestrator's reports. *)
 let counters t =
-  [ ("arq.data_frames_sent", t.ctr.data_frames_sent);
-    ("arq.retransmits", t.ctr.retransmissions);
-    ("arq.retransmit_rounds", t.ctr.retransmit_rounds);
-    ("arq.dups_suppressed", t.ctr.dups_suppressed);
-    ("arq.out_of_window_drops", t.ctr.out_of_window_drops);
-    ("netem.dropped", t.ctr.netem_dropped);
-    ("netem.duplicated", t.ctr.netem_duplicated);
-    ("netem.reordered", t.ctr.netem_reordered) ]
+  List.map
+    (fun k -> (k, Obs.counter_value (Obs.counter t.registry k)))
+    [ "arq.data_frames_sent"; "arq.retransmits"; "arq.retransmit_rounds";
+      "arq.dups_suppressed"; "arq.out_of_window_drops"; "netem.dropped";
+      "netem.duplicated"; "netem.reordered" ]
 
 let transport_counters t =
   List.map
@@ -137,14 +95,9 @@ let default_rto_max_factor = 16.0
 let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
     ?(rto = default_rto) ?rto_max ?(netem = Netem.none) ?(netem_seed = 0)
     ?(log = fun _ -> ()) ~pid ~bind () =
-  if rto <= 0.0 then invalid_arg "Node.create: non-positive rto";
-  let rto_max =
-    match rto_max with
-    | None -> rto *. default_rto_max_factor
-    | Some v ->
-      if v < rto then invalid_arg "Node.create: rto_max below rto";
-      v
-  in
+  let rto_max = Option.value rto_max ~default:(rto *. default_rto_max_factor) in
+  let registry = Obs.create () in
+  let arq = Arq.go_back_n ~rto ~rto_max registry in
   (* The transport needs the clock before the node record exists, so the
      monotonicity floor lives in a ref both close over. *)
   let last_now = ref 0.0 in
@@ -156,13 +109,13 @@ let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
   let transport =
     Transport.make ?tcp_config ~kind:transport ~bind ~now ~log ()
   in
-  let registry = Obs.create () in
   let t =
     { pid;
       transport;
       timers = Timers.create ();
-      out_chans = Pid.Tbl.create 16;
-      in_chans = Pid.Tbl.create 16;
+      arq;
+      links = Pid.Tbl.create 16;
+      receivers = Pid.Tbl.create 16;
       blackholed = Pid.Set.empty;
       disconnected = Pid.Set.empty;
       vc = Vector_clock.Mutable.create ();
@@ -171,32 +124,20 @@ let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
       stopping = false;
       receiver = (fun ~src:_ _ -> ());
       last_now;
-      ctr =
-        { data_frames_sent = 0;
-          retransmissions = 0;
-          retransmit_rounds = 0;
-          dups_suppressed = 0;
-          out_of_window_drops = 0;
-          netem_dropped = 0;
-          netem_duplicated = 0;
-          netem_reordered = 0 };
       stats = Stats.create ();
-      rto;
-      rto_max;
       netem_default = netem;
       netem_overrides = Pid.Tbl.create 4;
       netem_seed;
       link_rngs = Pid.Tbl.create 16;
       ctrl_rng = Rng.create (Netem.link_seed ~seed:netem_seed ~self:pid ~peer:pid);
       registry;
-      h_rtt = Obs.histogram registry "arq.rtt";
-      h_backoff = Obs.histogram ~buckets:Obs.round_buckets registry
-          "arq.backoff_rounds";
+      netem_dropped = Obs.counter registry "netem.dropped";
+      netem_duplicated = Obs.counter registry "netem.duplicated";
+      netem_reordered = Obs.counter registry "netem.reordered";
       log }
   in
-  (* The pre-existing counter families ride along as snapshot views; their
-     keys are already canonical, so the empty prefix passes them through. *)
-  Obs.register_views registry ~prefix:"" (fun () -> counters t);
+  (* The transport's counters ride along as a snapshot view; their keys
+     are already canonical, so the empty prefix passes them through. *)
   Obs.register_views registry ~prefix:"" (fun () -> transport_counters t);
   Stats.register_views t.stats registry;
   List.iter (fun (p, ep) -> t.transport.Transport.add_peer p ep) peers;
@@ -208,7 +149,6 @@ let port t = Endpoint.port (endpoint t)
 let stats t = t.stats
 let alive t = t.alive
 let stopping t = t.stopping
-let retransmissions t = t.ctr.retransmissions
 let clock t = Vector_clock.Mutable.snapshot t.vc
 let blackholed t = t.blackholed
 let netem t = t.netem_default
@@ -216,8 +156,7 @@ let transport_kind t = t.transport.Transport.kind
 let registry t = t.registry
 let metrics t = Obs.snapshot t.registry
 
-let idle t =
-  Pid.Tbl.fold (fun _ c acc -> acc && Queue.is_empty c.unacked) t.out_chans true
+let idle t = Pid.Tbl.fold (fun _ l acc -> acc && Arq.idle l) t.links true
 
 let set_netem t ?peer model =
   match peer with
@@ -236,114 +175,34 @@ let local_event t =
   t.events <- t.events + 1;
   (t.events, Vector_clock.Mutable.snapshot t.vc)
 
-(* ---- frames out ---- *)
+let find_or_add tbl k make =
+  match Pid.Tbl.find_opt tbl k with
+  | Some v -> v
+  | None ->
+    let v = make () in
+    Pid.Tbl.replace tbl k v;
+    v
+
+(* ---- frames out; the ARQ sender side onto the wire and the wheel ---- *)
 
 let sendto t ~dst bytes = t.transport.Transport.send ~dst bytes
 
-(* ---- ARQ sender side ---- *)
-
-let out_chan t dst =
-  match Pid.Tbl.find_opt t.out_chans dst with
-  | Some c -> c
-  | None ->
-    let c =
-      { next_seq = 0;
-        base = 0;
-        unacked = Queue.create ();
-        rtimer = None;
-        cur_rto = t.rto;
-        quiet_rounds = 0 }
-    in
-    Pid.Tbl.replace t.out_chans dst c;
-    c
-
-let cancel_rtimer c =
-  match c.rtimer with
-  | None -> ()
-  | Some e ->
-    Timers.cancel e;
-    c.rtimer <- None
-
-let rec arm_rtimer t dst c =
-  cancel_rtimer c;
-  if not (Queue.is_empty c.unacked) then
-    c.rtimer <-
-      Some
-        (Timers.schedule t.timers
-           ~at:(now t +. c.cur_rto)
-           (fun () ->
-             c.rtimer <- None;
-             if t.alive && not (Queue.is_empty c.unacked) then begin
-               t.ctr.retransmit_rounds <- t.ctr.retransmit_rounds + 1;
-               c.quiet_rounds <- c.quiet_rounds + 1;
-               Queue.iter
-                 (fun e ->
-                   t.ctr.retransmissions <- t.ctr.retransmissions + 1;
-                   e.e_clean <- false;
-                   sendto t ~dst e.e_bytes)
-                 c.unacked;
-               (* No ack progress this round: back off (capped), so a dead
-                  or badly lossy link costs O(log) sends per quiet period,
-                  not one full-window storm every rto. *)
-               c.cur_rto <- Float.min (c.cur_rto *. 2.0) t.rto_max;
-               arm_rtimer t dst c
-             end))
+let rec apply t ~dst l out =
+  Arq.apply l out ~cancel:Timers.cancel
+    ~transmit:(fun (e : _ Arq.entry) ->
+      let vc, msg = e.payload in
+      sendto t ~dst
+        (Codec.encode_frame
+           (Codec.Data { src = t.pid; chan_seq = e.seq; vc; msg })))
+    ~schedule:(fun at ->
+      Timers.schedule t.timers ~at (fun () ->
+          if t.alive then apply t ~dst l (Arq.timeout l ~now:(now t))))
 
 let transmit t ~dst msg =
-  let c = out_chan t dst in
-  let seq = c.next_seq in
-  c.next_seq <- seq + 1;
-  let bytes =
-    Codec.encode_frame
-      (Codec.Data
-         { src = t.pid;
-           chan_seq = seq;
-           vc = Vector_clock.Mutable.snapshot t.vc;
-           msg })
-  in
-  Queue.add
-    { e_seq = seq; e_bytes = bytes; e_sent_at = now t; e_clean = true }
-    c.unacked;
-  t.ctr.data_frames_sent <- t.ctr.data_frames_sent + 1;
-  sendto t ~dst bytes;
-  if c.rtimer = None then arm_rtimer t dst c
-
-let handle_ack t ~src ~ack_next =
-  match Pid.Tbl.find_opt t.out_chans src with
-  | None -> ()
-  | Some c ->
-    while
-      (not (Queue.is_empty c.unacked))
-      && (Queue.peek c.unacked).e_seq < ack_next
-    do
-      let e = Queue.pop c.unacked in
-      (* Sample the ack round-trip only for frames never retransmitted:
-         after a retransmission the ack cannot be attributed to one flight
-         (Karn's rule). *)
-      if e.e_clean then Obs.observe t.h_rtt (now t -. e.e_sent_at)
-    done;
-    if ack_next > c.base then begin
-      (* Ack progress: the link is passing traffic again - reset the
-         backoff and re-arm from now, so recovery after a lossy spell is
-         prompt instead of waiting out a capped timeout. *)
-      c.base <- ack_next;
-      c.cur_rto <- t.rto;
-      if c.quiet_rounds > 0 then begin
-        Obs.observe t.h_backoff (float_of_int c.quiet_rounds);
-        c.quiet_rounds <- 0
-      end;
-      if Queue.is_empty c.unacked then cancel_rtimer c
-      else arm_rtimer t src c
-    end
-    else if Queue.is_empty c.unacked then cancel_rtimer c
-
-let teardown_to t dst =
-  (match Pid.Tbl.find_opt t.out_chans dst with
-  | None -> ()
-  | Some c ->
-    cancel_rtimer c;
-    Queue.clear c.unacked);
-  Pid.Tbl.remove t.out_chans dst
+  let l = find_or_add t.links dst (fun () -> Arq.sender t.arq) in
+  (* The payload is re-encoded, [chan_seq] and all, on every resend. *)
+  let payload = (Vector_clock.Mutable.snapshot t.vc, msg) in
+  apply t ~dst l (Arq.send l ~now:(now t) payload)
 
 (* ---- platform operations ---- *)
 
@@ -378,15 +237,17 @@ let disconnect_from t ~from =
      the transport tear down its route (a TCP stream to an excluded peer
      has nothing left to carry). *)
   t.disconnected <- Pid.Set.add from t.disconnected;
-  Pid.Tbl.remove t.in_chans from;
-  teardown_to t from;
+  Pid.Tbl.remove t.receivers from;
+  Option.iter
+    (fun l -> apply t ~dst:from l (Arq.teardown l))
+    (Pid.Tbl.find_opt t.links from);
   t.transport.Transport.remove_peer from
 
 let halt t =
   if t.alive then begin
     t.alive <- false;
-    Pid.Tbl.iter (fun _ c -> cancel_rtimer c) t.out_chans;
-    Pid.Tbl.reset t.out_chans
+    Pid.Tbl.iter (fun dst l -> apply t ~dst l (Arq.teardown l)) t.links;
+    Pid.Tbl.reset t.links
   end
 
 let set_timer t ~delay f =
@@ -428,14 +289,6 @@ let platform t =
 
 (* ---- ARQ receiver side / frame dispatch ---- *)
 
-let in_chan t src =
-  match Pid.Tbl.find_opt t.in_chans src with
-  | Some c -> c
-  | None ->
-    let c = { next_expected = 0 } in
-    Pid.Tbl.replace t.in_chans src c;
-    c
-
 let send_ack t ~dst ~ack_next =
   sendto t ~dst (Codec.encode_frame (Codec.Ack { src = t.pid; ack_next }))
 
@@ -444,22 +297,16 @@ let handle_data t ~(origin : Transport.origin) ~src ~chan_seq ~sender_vc msg =
      themselves, no static address book required. The transport keeps
      configured routes authoritative and only fills gaps. *)
   origin.learn src;
-  let c = in_chan t src in
-  if chan_seq = c.next_expected then begin
-    c.next_expected <- chan_seq + 1;
-    send_ack t ~dst:src ~ack_next:c.next_expected;
+  let r = find_or_add t.receivers src (fun () -> Arq.receiver t.arq) in
+  let deliver = Arq.receive r ~seq:chan_seq in
+  (* Ack every data frame, delivered or not, so the sender's window can
+     advance past a lost ack. *)
+  send_ack t ~dst:src ~ack_next:(Arq.ack_next r);
+  if deliver then begin
     Vector_clock.Mutable.merge_tick t.vc sender_vc t.pid;
     t.events <- t.events + 1;
     Stats.record_delivered t.stats ~category:(Wire.category_id msg);
     t.receiver ~src msg
-  end
-  else begin
-    (* Duplicate or out-of-order: no delivery, but always re-ack so the
-       sender's window can advance past a lost ack. *)
-    if chan_seq < c.next_expected then
-      t.ctr.dups_suppressed <- t.ctr.dups_suppressed + 1
-    else t.ctr.out_of_window_drops <- t.ctr.out_of_window_drops + 1;
-    send_ack t ~dst:src ~ack_next:c.next_expected
   end
 
 let apply_ctrl t = function
@@ -493,9 +340,11 @@ let handle_frame t ~(origin : Transport.origin) = function
     then handle_data t ~origin ~src ~chan_seq ~sender_vc:vc msg
     else if t.alive && Pid.Set.mem src t.blackholed then
       Stats.record_dropped t.stats ~category:(Wire.category_id msg)
-  | Codec.Ack { src; ack_next } ->
-    if t.alive && not (Pid.Set.mem src t.blackholed) then
-      handle_ack t ~src ~ack_next
+  | Codec.Ack { src; ack_next } -> (
+    match Pid.Tbl.find_opt t.links src with
+    | Some l when t.alive && not (Pid.Set.mem src t.blackholed) ->
+      apply t ~dst:src l (Arq.ack l ~now:(now t) ~next:ack_next)
+    | _ -> ())
   | Codec.Ctrl { token; cmd = Codec.Get_metrics } ->
     (* A query, not a mutation: the reply carries the snapshot and doubles
        as the ack (same token), so the scrape rides the same retry loop as
@@ -521,14 +370,8 @@ let link_model t src =
   | None -> t.netem_default
 
 let link_rng t src =
-  match Pid.Tbl.find_opt t.link_rngs src with
-  | Some rng -> rng
-  | None ->
-    let rng =
-      Rng.create (Netem.link_seed ~seed:t.netem_seed ~self:t.pid ~peer:src)
-    in
-    Pid.Tbl.replace t.link_rngs src rng;
-    rng
+  find_or_add t.link_rngs src (fun () ->
+      Rng.create (Netem.link_seed ~seed:t.netem_seed ~self:t.pid ~peer:src))
 
 let ingress t ~(origin : Transport.origin) frame =
   (* Decode first, then draw the frame's fate from the link model:
@@ -551,9 +394,9 @@ let ingress t ~(origin : Transport.origin) frame =
   if Netem.is_none model then handle_frame t ~origin frame
   else
     match Netem.sample model (Lazy.force rng) with
-    | Netem.Drop -> t.ctr.netem_dropped <- t.ctr.netem_dropped + 1
+    | Netem.Drop -> Obs.inc t.netem_dropped
     | Netem.Deliver { delay; dup_delay; held } ->
-      if held then t.ctr.netem_reordered <- t.ctr.netem_reordered + 1;
+      if held then Obs.inc t.netem_reordered;
       let inject d =
         if d <= 0.0 then handle_frame t ~origin frame
         else
@@ -567,7 +410,7 @@ let ingress t ~(origin : Transport.origin) frame =
       (match dup_delay with
       | None -> ()
       | Some d ->
-        t.ctr.netem_duplicated <- t.ctr.netem_duplicated + 1;
+        Obs.inc t.netem_duplicated;
         inject d)
 
 let drain t =

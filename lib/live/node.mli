@@ -5,10 +5,10 @@
     and a single-threaded poll loop; protocol callbacks (message
     delivery, timers) run only inside {!run}, never concurrently — the
     concurrency model the protocol core was written against. Reliable
-    FIFO channels between nodes come from a go-back-N ARQ (sequence
-    numbers + cumulative acks + retransmission on an exponentially
-    backed-off timeout), the paper's footnote-2 channel realized over a
-    medium that can genuinely lose frames on either transport — not least
+    FIFO channels between nodes come from the go-back-N instance of
+    {!Gmp_net.Arq.Machine} (sequence numbers + cumulative acks +
+    retransmission on an exponentially backed-off timeout), the paper's
+    footnote-2 channel realized over a medium that can genuinely lose frames on either transport — not least
     because the node injects faults against itself: a seeded per-link
     {!Gmp_net.Netem} model applied to every frame at message ingress
     (after transport reassembly, before the protocol), the same fault
@@ -78,15 +78,13 @@ val alive : t -> bool
 val stopping : t -> bool
 (** An orchestrator [Shutdown] control frame arrived. *)
 
-val retransmissions : t -> int
-
 val idle : t -> bool
 (** No frame is awaiting an ack on any outgoing channel — everything sent
     so far is known delivered. *)
 
 val counters : t -> (string * int) list
-(** ARQ and fault-injection counters under their canonical registry
-    names, in a stable order: [arq.data_frames_sent] (first
+(** ARQ and fault-injection counters, read from {!registry} under their
+    canonical names, in a stable order: [arq.data_frames_sent] (first
     transmissions), [arq.retransmits], [arq.retransmit_rounds]
     (retransmit-timer fires), [arq.dups_suppressed],
     [arq.out_of_window_drops], [netem.dropped], [netem.duplicated],
@@ -101,11 +99,11 @@ val transport_counters : t -> (string * int) list
     reported alongside {!counters} in the JSONL summary. *)
 
 val registry : t -> Gmp_obs.Obs.registry
-(** The node's metrics registry: {!counters}, {!transport_counters} and
-    the per-category {!stats} table as snapshot views, plus [arq.rtt]
+(** The node's metrics registry: the {!counters} and the ARQ's [arq.rtt]
     (wall-clock ack round-trips of never-retransmitted frames — Karn's
     sampling rule) and [arq.backoff_rounds] (retransmit rounds per
-    recovered quiet spell) histograms. *)
+    recovered quiet spell) histograms, plus {!transport_counters} and the
+    per-category {!stats} table as snapshot views. *)
 
 val metrics : t -> Gmp_obs.Obs.Snapshot.t
 (** [Obs.snapshot (registry t)] — also what a [Get_metrics] control frame

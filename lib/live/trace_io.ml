@@ -294,32 +294,9 @@ let counters_of_json j =
          Option.map (fun n -> (k, n)) (J.to_int_opt v)))
     (Option.bind (J.member "counters" j) J.to_obj_opt)
 
-(* Canonicalize counter keys from logs written before the metric names
-   were unified with the registry's, so every consumer sees exactly one
-   scheme ([arq.*] / [netem.*] / [transport.*]) regardless of the
-   writer's vintage. Current writers already emit canonical keys. *)
-let canonical_arq_key = function
-  | "data_frames_sent" -> "arq.data_frames_sent"
-  | "retransmits" -> "arq.retransmits"
-  | "retransmit_rounds" -> "arq.retransmit_rounds"
-  | "dups_suppressed" -> "arq.dups_suppressed"
-  | "out_of_window_drops" -> "arq.out_of_window_drops"
-  | "netem_dropped" -> "netem.dropped"
-  | "netem_duplicated" -> "netem.duplicated"
-  | "netem_reordered" -> "netem.reordered"
-  | k -> k
-
-let canonical_transport_key k =
-  if String.length k >= 10 && String.sub k 0 10 = "transport." then k
-  else "transport." ^ k
-
 let read_arq path =
   scan_summary path (fun j ->
-      if J.member "arq" j <> None then
-        Option.map
-          (List.map (fun (k, v) -> (canonical_arq_key k, v)))
-          (counters_of_json j)
-      else None)
+      if J.member "arq" j <> None then counters_of_json j else None)
 
 let read_transport path =
   scan_summary path (fun j ->
@@ -327,10 +304,7 @@ let read_transport path =
         (J.member "transport" j, Option.bind (J.member "kind" j) J.to_string_opt)
       with
       | Some _, Some kind ->
-        Option.map
-          (fun cs ->
-            (kind, List.map (fun (k, v) -> (canonical_transport_key k, v)) cs))
-          (counters_of_json j)
+        Option.map (fun cs -> (kind, cs)) (counters_of_json j)
       | _ -> None)
 
 let read_metrics path =

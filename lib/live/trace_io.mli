@@ -48,13 +48,13 @@ val read_file : string -> (Trace.event list, string) result
 
 val read_arq : string -> (string * int) list option
 (** The ARQ counters summary of one node's log, if present (a SIGKILLed
-    node writes none). Keys are canonicalized to the registry's stable
-    names ([arq.*] / [netem.*]), including when reading logs written
-    before the schemes were unified. *)
+    node writes none), under the keys the writer used — the registry's
+    [arq.*] / [netem.*] names for every current node. *)
 
 val read_transport : string -> (string * (string * int) list) option
 (** The transport summary of one node's log, if present:
-    [(kind, counters)], keys canonicalized to [transport.*]. *)
+    [(kind, counters)], keys as written ([transport.*] for every current
+    node). *)
 
 val read_metrics : string -> Gmp_obs.Obs.Snapshot.t option
 (** The last metrics snapshot line of one node's log, if any parses (a

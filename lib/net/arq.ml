@@ -1,190 +1,266 @@
-(* The paper's footnoted channel implementation: reliable FIFO over a lossy
-   medium via "a (1-bit) sequence number on each message and an
-   acknowledgement protocol" - i.e. the alternating-bit / stop-and-wait
-   protocol, one instance per ordered process pair.
+(* The paper's footnote-2 channel as one go-back-N state machine per
+   ordered process pair. The sender numbers frames consecutively (modulo
+   the sequence space), keeps up to a window of them unacked, backlogs the
+   rest, and resends the whole window when the timer fires, doubling the
+   timeout per silent round up to [rto_max] and resetting it on ack
+   progress: a dead link costs O(log) rounds per quiet spell, not a storm
+   every rto. The receiver delivers exactly the next expected frame, acks
+   cumulatively on every data frame, and keeps no reorder buffer.
 
-   Sender side (per channel): a FIFO backlog; at most one datagram
-   outstanding, stamped with the current bit, retransmitted every [rto]
-   until the matching ack arrives; then the bit flips and the next message
-   goes out. Receiver side (per channel): the expected bit; a matching data
-   datagram is delivered upward and the bit flips; any data datagram is
-   acked with its own bit (so lost acks get regenerated).
-
-   Delivered exactly once, in order, to the upper layer - precisely the
-   channel the model assumes. *)
+   The alternating bit (window 1, 1-bit sequence numbers, fixed rto) runs
+   in the simulator, driven below over [Lossy]; go-back-N proper
+   (unbounded window and sequence numbers, backoff) is what the live node
+   ships over its transport and timer wheel. *)
 
 open Gmp_base
+module Obs = Gmp_obs.Obs
 
-type 'm frame =
-  | Data of { bit : bool; payload : 'm }
-  | Ack of { bit : bool }
+(* ---- the state machine: no medium, no timers, no clock of its own ---- *)
 
-type 'm sender = {
-  mutable send_bit : bool;
-  backlog : 'm Queue.t;
-  mutable outstanding : 'm option;
-  mutable timer : Gmp_sim.Engine.handle option;
-  mutable since : float; (* when the outstanding datagram first went out *)
-  mutable clean : bool; (* no retransmission since [since] (Karn's rule) *)
-}
+module Machine = struct
+  type config = {
+    window : int; (* frames in flight; [max_int] = unbounded *)
+    modulus : int; (* sequence space; 0 = unbounded integers *)
+    rto : float;
+    rto_max : float;
+    data_frames_sent : Obs.counter;
+    retransmits : Obs.counter;
+    retransmit_rounds : Obs.counter;
+    dups_suppressed : Obs.counter;
+    out_of_window_drops : Obs.counter;
+    rtt : Obs.histogram;
+    backoff_rounds : Obs.histogram;
+  }
 
-type 'm receiver = { mutable expect_bit : bool }
+  let config ~window ~modulus ~rto ~rto_max r =
+    if rto <= 0.0 then invalid_arg "Arq: non-positive rto";
+    if rto_max < rto then invalid_arg "Arq: rto_max below rto";
+    let counter name = Obs.counter r ("arq." ^ name) in
+    { window;
+      modulus;
+      rto;
+      rto_max;
+      data_frames_sent = counter "data_frames_sent";
+      retransmits = counter "retransmits";
+      retransmit_rounds = counter "retransmit_rounds";
+      dups_suppressed = counter "dups_suppressed";
+      out_of_window_drops = counter "out_of_window_drops";
+      rtt = Obs.histogram r "arq.rtt";
+      backoff_rounds =
+        Obs.histogram ~buckets:Obs.round_buckets r "arq.backoff_rounds" }
+
+  let alternating_bit ~rto r =
+    config ~window:1 ~modulus:2 ~rto ~rto_max:rto r
+
+  let go_back_n ~rto ~rto_max r =
+    config ~window:max_int ~modulus:0 ~rto ~rto_max r
+
+  (* [a - b], and [n + 1], in the sequence space. *)
+  let distance c a b =
+    if c.modulus = 0 then a - b else (a - b + c.modulus) mod c.modulus
+
+  let succ c n = if c.modulus = 0 then n + 1 else (n + 1) mod c.modulus
+
+  type 'p entry = {
+    seq : int;
+    payload : 'p;
+    sent_at : float;
+    mutable clean : bool; (* never retransmitted: rtt-sampleable *)
+  }
+
+  type timer = Keep | Stop | Arm of float
+  type 'p output = { frames : 'p entry list; timer : timer }
+
+  let nothing = { frames = []; timer = Keep }
+
+  type ('p, 'h) sender = {
+    c : config;
+    mutable handle : 'h option; (* the driver's, on the armed deadline *)
+    mutable next_seq : int;
+    unacked : 'p entry Queue.t;
+    backlog : 'p Queue.t;
+    mutable rto_cur : float; (* in [rto, rto_max] *)
+    mutable quiet_rounds : int; (* retransmit rounds since ack progress *)
+  }
+
+  let sender c =
+    { c;
+      handle = None;
+      next_seq = 0;
+      unacked = Queue.create ();
+      backlog = Queue.create ();
+      rto_cur = c.rto;
+      quiet_rounds = 0 }
+
+  (* The one order every driver follows: cancel, transmit, re-arm. *)
+  let apply s out ~cancel ~transmit ~schedule =
+    (match out.timer with
+    | Keep -> ()
+    | Stop | Arm _ ->
+      Option.iter cancel s.handle;
+      s.handle <- None);
+    List.iter transmit out.frames;
+    match out.timer with
+    | Arm at -> s.handle <- Some (schedule at)
+    | Keep | Stop -> ()
+
+  (* The retransmit deadline is armed exactly while frames are unacked,
+     and the backlog only fills behind a full window. *)
+  let idle s = Queue.is_empty s.unacked
+
+  let launch s ~now payload =
+    let e = { seq = s.next_seq; payload; sent_at = now; clean = true } in
+    s.next_seq <- succ s.c e.seq;
+    Queue.add e s.unacked;
+    Obs.inc s.c.data_frames_sent;
+    e
+
+  (* Move backlogged messages into free window slots, in order. *)
+  let rec refill s ~now acc =
+    if Queue.length s.unacked < s.c.window && not (Queue.is_empty s.backlog)
+    then refill s ~now (launch s ~now (Queue.pop s.backlog) :: acc)
+    else List.rev acc
+
+  let send s ~now payload =
+    let was_idle = idle s in
+    Queue.add payload s.backlog;
+    let frames = refill s ~now [] in
+    { frames; timer = (if was_idle then Arm (now +. s.rto_cur) else Keep) }
+
+  let timeout s ~now =
+    Obs.inc s.c.retransmit_rounds;
+    s.quiet_rounds <- s.quiet_rounds + 1;
+    Queue.iter (fun e -> e.clean <- false) s.unacked;
+    Obs.inc ~by:(Queue.length s.unacked) s.c.retransmits;
+    s.rto_cur <- Float.min (s.rto_cur *. 2.0) s.c.rto_max;
+    let frames = List.of_seq (Queue.to_seq s.unacked) in
+    { frames; timer = Arm (now +. s.rto_cur) }
+
+  let ack s ~now ~next =
+    let n = Queue.length s.unacked in
+    let k = if n = 0 then 0 else distance s.c next (Queue.peek s.unacked).seq in
+    (* Stale acks, and acks for frames never sent, make no progress. *)
+    if k < 1 || k > n then nothing
+    else begin
+      for _ = 1 to k do
+        let e = Queue.pop s.unacked in
+        (* A retransmitted frame's ack cannot be attributed to one flight
+           (Karn's rule): sample clean frames only. *)
+        if e.clean then Obs.observe s.c.rtt (now -. e.sent_at)
+      done;
+      (* The link passes traffic again: reset the backoff and re-arm from
+         now, so recovery after a lossy spell is prompt. *)
+      s.rto_cur <- s.c.rto;
+      if s.quiet_rounds > 0 then begin
+        Obs.observe s.c.backoff_rounds (float_of_int s.quiet_rounds);
+        s.quiet_rounds <- 0
+      end;
+      let frames = refill s ~now [] in
+      { frames; timer = (if idle s then Stop else Arm (now +. s.rto_cur)) }
+    end
+
+  let teardown s =
+    Queue.clear s.unacked;
+    Queue.clear s.backlog;
+    s.rto_cur <- s.c.rto;
+    s.quiet_rounds <- 0;
+    { frames = []; timer = Stop }
+
+  type receiver = { rc : config; mutable expected : int }
+
+  let receiver rc = { rc; expected = 0 }
+  let ack_next r = r.expected
+
+  let receive r ~seq =
+    let c = r.rc in
+    let d = distance c seq r.expected in
+    if d = 0 then r.expected <- succ c seq
+    else if d < 0 || (c.modulus > 0 && d >= c.modulus - c.window) then
+      Obs.inc c.dups_suppressed
+    else Obs.inc c.out_of_window_drops;
+    d = 0
+end
+
+(* ---- the simulator's driver: the alternating bit over [Lossy] ---- *)
+
+module Engine = Gmp_sim.Engine
+
+type 'm frame = Data of { seq : int; payload : 'm } | Ack of { next : int }
 
 type 'm t = {
-  engine : Gmp_sim.Engine.t;
+  engine : Engine.t;
   lossy : 'm frame Lossy.t;
-  rto : float;
-  rto_of : (src:Pid.t -> dst:Pid.t -> float option) option;
-      (* per-channel override, consulted at each (re)transmission; the
-         sender's pid picks the value, so a member's Config.tuning maps
-         straight onto its outgoing channels *)
-  senders : (Pid.t * Pid.t, 'm sender) Hashtbl.t; (* keyed (src,dst) *)
-  receivers : (Pid.t * Pid.t, 'm receiver) Hashtbl.t; (* keyed (src,dst) *)
+  config : Machine.config;
+  (* both keyed (src,dst) *)
+  senders : (Pid.t * Pid.t, ('m, Engine.handle) Machine.sender) Hashtbl.t;
+  receivers : (Pid.t * Pid.t, Machine.receiver) Hashtbl.t;
   mutable handler : dst:Pid.t -> src:Pid.t -> 'm -> unit;
-  mutable retransmissions : int;
-  rtt : Gmp_obs.Obs.histogram option;
-      (* ack round-trips for never-retransmitted datagrams only: a sample
-         spanning a retransmission is ambiguous (Karn's rule) *)
 }
 
 let set_handler t handler = t.handler <- handler
-
-let retransmissions t = t.retransmissions
+let retransmissions t = Obs.counter_value t.config.retransmits
 let datagrams_sent t = Lossy.datagrams_sent t.lossy
 let datagrams_lost t = Lossy.datagrams_lost t.lossy
 
-let sender_for t key =
-  match Hashtbl.find_opt t.senders key with
-  | Some s -> s
-  | None ->
-    let s =
-      { send_bit = false;
-        backlog = Queue.create ();
-        outstanding = None;
-        timer = None;
-        since = 0.0;
-        clean = false }
-    in
-    Hashtbl.replace t.senders key s;
-    s
+let rec apply t ~src ~dst tx out =
+  Machine.apply tx out ~cancel:(Engine.cancel t.engine)
+    ~transmit:(fun (e : 'm Machine.entry) ->
+      Lossy.send t.lossy ~src ~dst (Data { seq = e.seq; payload = e.payload }))
+    ~schedule:(fun time ->
+      Engine.schedule_at t.engine ~time (fun () ->
+          apply t ~src ~dst tx (Machine.timeout tx ~now:(Engine.now t.engine))))
 
-let receiver_for t key =
-  match Hashtbl.find_opt t.receivers key with
-  | Some r -> r
-  | None ->
-    let r = { expect_bit = false } in
-    Hashtbl.replace t.receivers key r;
-    r
-
-let cancel_timer t s =
-  match s.timer with
-  | None -> ()
-  | Some h ->
-    Gmp_sim.Engine.cancel t.engine h;
-    s.timer <- None
-
-let rto_for t ~src ~dst =
-  match t.rto_of with
-  | None -> t.rto
-  | Some f -> (match f ~src ~dst with Some v -> v | None -> t.rto)
-
-let rec transmit t ~src ~dst s =
-  match s.outstanding with
-  | None -> ()
-  | Some payload ->
-    Lossy.send t.lossy ~src ~dst (Data { bit = s.send_bit; payload });
-    cancel_timer t s;
-    s.timer <-
-      Some
-        (Gmp_sim.Engine.schedule t.engine ~delay:(rto_for t ~src ~dst)
-           (fun () ->
-             (* Timeout: the datagram or its ack was lost; go again. *)
-             t.retransmissions <- t.retransmissions + 1;
-             s.clean <- false;
-             transmit t ~src ~dst s))
-
-let pump t ~src ~dst s =
-  if s.outstanding = None && not (Queue.is_empty s.backlog) then begin
-    s.outstanding <- Some (Queue.pop s.backlog);
-    s.since <- Gmp_sim.Engine.now t.engine;
-    s.clean <- true;
-    transmit t ~src ~dst s
-  end
+let find_or_add t tbl key make =
+  try Hashtbl.find tbl key
+  with Not_found ->
+    let v = make t.config in
+    Hashtbl.replace tbl key v;
+    v
 
 let send t ~src ~dst payload =
   if Pid.equal src dst then invalid_arg "Arq.send: src = dst";
-  let s = sender_for t (src, dst) in
-  Queue.add payload s.backlog;
-  pump t ~src ~dst s
+  let tx = find_or_add t t.senders (src, dst) Machine.sender in
+  apply t ~src ~dst tx (Machine.send tx ~now:(Engine.now t.engine) payload)
 
-let handle_frame t ~dst ~src frame =
-  match frame with
-  | Data { bit; payload } ->
+let handle_frame t ~dst ~src = function
+  | Data { seq; payload } ->
+    let r = find_or_add t t.receivers (src, dst) Machine.receiver in
+    let deliver = Machine.receive r ~seq in
     (* Always ack what arrived - a lost ack must be regenerated by the
        retransmitted data. *)
-    Lossy.send t.lossy ~src:dst ~dst:src (Ack { bit });
-    let r = receiver_for t (src, dst) in
-    if bit = r.expect_bit then begin
-      r.expect_bit <- not r.expect_bit;
-      t.handler ~dst ~src payload
-    end
-    (* else: duplicate of an already-delivered datagram; ack was enough *)
-  | Ack { bit } ->
-    (* The ack travels dst->src, so the sender state is keyed by the
-       reversed pair. *)
-    let s = sender_for t (dst, src) in
-    if s.outstanding <> None && bit = s.send_bit then begin
-      (match t.rtt with
-      | Some h when s.clean ->
-        Gmp_obs.Obs.observe h (Gmp_sim.Engine.now t.engine -. s.since)
-      | _ -> ());
-      s.outstanding <- None;
-      s.send_bit <- not s.send_bit;
-      cancel_timer t s;
-      pump t ~src:dst ~dst:src s
-    end
+    Lossy.send t.lossy ~src:dst ~dst:src (Ack { next = Machine.ack_next r });
+    if deliver then t.handler ~dst ~src payload
+  | Ack { next } -> (
+    (* The ack travels dst->src: the sender is keyed by the reversed pair. *)
+    match Hashtbl.find_opt t.senders (dst, src) with
+    | None -> ()
+    | Some tx ->
+      let now = Engine.now t.engine in
+      apply t ~src:dst ~dst:src tx (Machine.ack tx ~now ~next))
 
-(* Channel teardown, driven by suspicion or crash of the destination: stop
-   the retransmit loop and drop unsent traffic. Without this the
-   stop-and-wait sender retries forever toward a peer that will never ack -
-   the event queue never drains and virtual time grinds through useless
-   timeouts. Tearing down only touches existing sender state; it never
-   creates a channel. *)
 let teardown t ~src ~dst =
   match Hashtbl.find_opt t.senders (src, dst) with
   | None -> ()
-  | Some s ->
-    cancel_timer t s;
-    s.outstanding <- None;
-    Queue.clear s.backlog
+  | Some tx -> apply t ~src ~dst tx (Machine.teardown tx)
 
 let teardown_to t dst =
   Hashtbl.iter
     (fun (src, d) _ -> if Pid.equal d dst then teardown t ~src ~dst)
     t.senders
 
-let create ?(loss = 0.2) ?(duplicate = 0.05) ?(rto = 5.0) ?rto_of
-    ?(fifo = true) ?registry ~engine ~rng ~delay () =
-  if rto <= 0.0 then invalid_arg "Arq.create: rto must be positive";
+let create ?(loss = 0.2) ?(duplicate = 0.05) ?(rto = 5.0) ?(fifo = true)
+    ?(registry = Obs.create ()) ~engine ~rng ~delay () =
+  let config = Machine.alternating_bit ~rto registry in
   let lossy = Lossy.create ~loss ~duplicate ~fifo ~engine ~rng ~delay () in
   let t =
     { engine;
       lossy;
-      rto;
-      rto_of;
+      config;
       senders = Hashtbl.create 32;
       receivers = Hashtbl.create 32;
-      handler = (fun ~dst:_ ~src:_ _ -> failwith "Arq: no handler");
-      retransmissions = 0;
-      rtt = Option.map (fun r -> Gmp_obs.Obs.histogram r "arq.rtt") registry }
+      handler = (fun ~dst:_ ~src:_ _ -> failwith "Arq: no handler") }
   in
-  (match registry with
-  | None -> ()
-  | Some r ->
-    Gmp_obs.Obs.register_view r "arq.datagrams_sent" (fun () ->
-        datagrams_sent t);
-    Gmp_obs.Obs.register_view r "arq.datagrams_lost" (fun () ->
-        datagrams_lost t);
-    Gmp_obs.Obs.register_view r "arq.retransmits" (fun () -> t.retransmissions));
-  Lossy.set_handler lossy (fun ~dst ~src frame -> handle_frame t ~dst ~src frame);
+  Obs.register_view registry "arq.datagrams_sent" (fun () -> datagrams_sent t);
+  Obs.register_view registry "arq.datagrams_lost" (fun () -> datagrams_lost t);
+  Lossy.set_handler lossy (fun ~dst ~src f -> handle_frame t ~dst ~src f);
   t

