@@ -1,11 +1,10 @@
 (* Checked-in expectations for the deterministic E-scale counters.
 
-   Wall time varies by machine, but [events_fired], [messages_sent] and
-   [trace_events] are functions of the seed and the simulation logic alone
-   (the RNG is our own splitmix64, so they are identical across OCaml
-   versions). The bench compares every scale run against this table and
-   exits nonzero on drift, so silent behaviour changes fail CI even when
-   the tests pass.
+   [events_fired], [messages_sent] and [trace_events] are functions of the
+   seed and the simulation logic alone (the RNG is our own splitmix64, so
+   they are identical across OCaml versions). The bench compares every
+   scale run against this table and exits nonzero on drift, so silent
+   behaviour changes fail CI even when the tests pass.
 
    [words_per_event] is the minor-heap allocation per fired event. Every
    scale cell runs in a fresh worker domain with a fresh vector-clock

@@ -6,10 +6,11 @@
    symmetric comparison), the Section 7.3 optimality claims (one-phase and
    two-phase counterexamples, Figure 11), the figure scenarios (3, 4, 7),
    the GMP property sweep, and the Appendix knowledge checks. Each section
-   prints the paper's prediction next to the measured value.
+   prints the paper's prediction next to the measured value, and every
+   printed verdict is a gate: a mismatch makes the run exit 1.
 
-   A final Bechamel section micro-benchmarks the protocol's building blocks
-   and whole scenario executions. Run: dune exec bench/main.exe *)
+   Everything here is deterministic; timing lives in gmpbench
+   (benchmark/). Run: dune exec bench/main.exe [-- --quick] [-- --jobs N] *)
 
 open Gmp_base
 open Gmp_core
@@ -18,9 +19,24 @@ open Gmp_workload
 
 let pr = Fmt.pr
 
-let section title = pr "@.=== %s ===@." title
+(* Failed verdicts, newest first. The paper sections run on the main
+   domain only; the E-scale cells return theirs as data. *)
+let failures = ref []
 
-let pass ok = if ok then "OK" else "MISMATCH"
+let current_section = ref ""
+
+let section title =
+  current_section := title;
+  pr "@.=== %s ===@." title
+
+let verdict ~ok ~bad =
+  if ok then "OK"
+  else begin
+    failures := Fmt.str "%s: %s" !current_section bad :: !failures;
+    bad
+  end
+
+let pass ok = verdict ~ok ~bad:"MISMATCH"
 
 (* ---------------------------------------------------------------- *)
 (* Table 1: multiple reconfiguration initiations                    *)
@@ -57,7 +73,7 @@ let table1 () =
       (if p_failed then "Failed" else "Up")
       (if q_thinks then "Failed" else "Up")
       paper_q paper_p q_init p_init
-      (if viol = 0 then "OK" else "VIOLATED")
+      (verdict ~ok:(viol = 0) ~bad:"VIOLATED")
   in
   List.iter row
     [ (false, false, "No", "Yes");
@@ -389,7 +405,9 @@ let ab2 () =
       let reuse, v2 = run Config.optimized in
       pr "%-6d %-7d %-12d %-12d %s@." n kills base reuse
         (if v1 = 0 && v2 = 0 then "OK (GMP holds in both)"
-         else Fmt.str "VIOLATIONS base=%d reuse=%d" v1 v2))
+         else
+           verdict ~ok:false
+             ~bad:(Fmt.str "VIOLATIONS base=%d reuse=%d" v1 v2)))
     [ 8; 16; 24 ];
   pr "(reuse helps small cascades; at larger n its grace period lets more@.";
   pr " failures pile up per round - the trade-off the paper left open)@."
@@ -445,31 +463,20 @@ let ab4 () =
       pr "%-8.2f %-18.2f %-16d %s@." loss
         (float_of_int (Gmp_net.Arq.datagrams_sent arq) /. float_of_int n)
         (Gmp_net.Arq.retransmissions arq)
-        (if !received = n then "(all delivered in order)" else "LOST DATA"))
+        (if !received = n then "(all delivered in order)"
+         else verdict ~ok:false ~bad:"LOST DATA"))
     [ 0.0; 0.1; 0.3; 0.5; 0.7 ]
 
 (* ---------------------------------------------------------------- *)
-(* E-scale: simulator throughput at n in {64, 128, 256}              *)
+(* E-scale: exact simulator counts at n in {64, 128, 256}           *)
 (* ---------------------------------------------------------------- *)
 
 (* The §7.2 envelopes stop at n = 64 because the seed simulator did; this
-   section exists so every later PR has a machine-readable perf trajectory
-   (BENCH_scale.json) to beat: wall-clock, events fired, peak heap entries,
-   messages and checker time per scenario. *)
+   section pins the simulator's exact counts at n up to 256 (events fired,
+   peak heap entries, messages, trace length, minor words per event) in
+   BENCH_scale.json and against bench/expectations.ml. *)
 
 module J = Gmp_base.Json
-
-let time_of f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let time_reps ~reps f =
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    ignore (f ())
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int reps
 
 let total_sent stats =
   List.fold_left
@@ -481,18 +488,13 @@ let total_sent stats =
    construction — the formatted table row, the JSON object and any
    expectation drift come back as data — so cells can run on worker
    domains and the main domain prints them in canonical order. *)
-type scale_cell = {
-  c_row : string;
-  c_json : J.t;
-  c_fails : string list;
-  c_wall : float;  (** scenario wall time, for the speedup denominator *)
-}
+type scale_cell = { c_row : string; c_json : J.t; c_fails : string list }
 
 let scale_run ~name ~n scenario =
   let minor0 = Gc.minor_words () in
-  let (m, group), wall = time_of (fun () -> scenario ~n ()) in
+  let _, group = scenario ~n () in
   let minor_words = Gc.minor_words () -. minor0 in
-  let (violations, checker_s) = time_of (fun () -> Group.check group) in
+  let violations = Group.check group in
   let engine = Group.engine group in
   let trace = Group.trace group in
   let events_fired = Gmp_sim.Engine.fired_events engine in
@@ -500,23 +502,24 @@ let scale_run ~name ~n scenario =
   let trace_events = Trace.length trace in
   let words_per_event = minor_words /. float_of_int (max 1 events_fired) in
   let row =
-    Fmt.str "%-14s %-6d %9.2fs %10d %10d %10d %9d %9.0f %10.4fs %s" name n
-      wall events_fired
+    Fmt.str "%-14s %-6d %10d %10d %10d %9d %9.0f %s" name n events_fired
       (Gmp_sim.Engine.peak_queue_length engine)
-      messages_sent trace_events words_per_event checker_s
+      messages_sent trace_events words_per_event
       (if violations = [] then "OK"
        else Fmt.str "%d VIOLATIONS" (List.length violations))
   in
-  ignore m;
   let fails =
     Expectations.check ~name ~n ~events_fired ~messages_sent ~trace_events
       ~words_per_event
+    @
+    match violations with
+    | [] -> []
+    | vs -> [ Fmt.str "%s n=%d: %d GMP violations" name n (List.length vs) ]
   in
   let json =
     J.obj
       [ ("name", J.string name);
          ("n", J.int n);
-         ("wall_s", J.float wall);
          ("events_fired", J.int events_fired);
          ("peak_heap_entries", J.int (Gmp_sim.Engine.peak_queue_length engine));
          ("final_heap_entries", J.int (Gmp_sim.Engine.queue_length engine));
@@ -525,22 +528,21 @@ let scale_run ~name ~n scenario =
          ("trace_events", J.int trace_events);
          ("minor_words", J.float minor_words);
          ("minor_words_per_event", J.float words_per_event);
-         ("checker_s", J.float checker_s);
          ("violations", J.int (List.length violations));
          (* deterministic snapshot (counters, detection-latency histograms):
             same seed, same cell -> byte-identical text, any jobs value *)
          ("metrics", Gmp_obs.Obs.Snapshot.to_json (Group.metrics group)) ]
   in
-  { c_row = row; c_json = json; c_fails = fails; c_wall = wall }
+  { c_row = row; c_json = json; c_fails = fails }
 
 (* Farm the cells to [jobs] worker domains pulling from a shared index.
    The pool runs even at jobs = 1 so every jobs value takes the same code
    path: each cell starts from a fresh per-domain vector-clock registry,
    and all its measurements (Gc.minor_words is per-domain on OCaml 5) are
    functions of the cell alone — the emitted JSON is bit-identical for any
-   job count, which CI checks with bench/json_diff.exe. The global stats
-   category registry is frozen across the pool: module-init time interned
-   every category, so workers only do (safe) concurrent lookups. *)
+   job count, which CI checks with diff. The global stats category registry
+   is frozen across the pool: module-init time interned every category, so
+   workers only do (safe) concurrent lookups. *)
 let run_cells ~jobs cells =
   let items = Array.of_list cells in
   let results = Array.make (Array.length items) None in
@@ -558,133 +560,21 @@ let run_cells ~jobs cells =
     loop ()
   in
   Gmp_platform.Stats.freeze ();
-  let t0 = Unix.gettimeofday () in
   let domains =
     List.init (min jobs (max 1 (Array.length items))) (fun _ ->
         Domain.spawn worker)
   in
   List.iter Domain.join domains;
-  let pool_wall = Unix.gettimeofday () -. t0 in
   Gmp_platform.Stats.thaw ();
-  let cells =
-    Array.to_list results
-    |> List.map (function
-         | Some c -> c
-         | None -> failwith "bench: scale cell never ran")
-  in
-  (cells, pool_wall)
-
-(* The acceptance measurement: the same full safety check on the n=32 churn
-   trace, indexed vs the seed's list scans (Checker.Reference). *)
-let checker_speedup () =
-  let _, group = Scenario.churn ~n:32 () in
-  let trace = Group.trace group in
-  let initial = Group.initial group in
-  let reps = 10 in
-  (* Sanity: all three agree (no violations on a correct run) before timing. *)
-  let idx_violations = Checker.check_safety trace ~initial in
-  let seed_violations = Seed_checker.check_safety trace ~initial in
-  if List.length idx_violations <> List.length seed_violations then
-    pr "WARNING: indexed and seed checkers disagree (%d vs %d violations)@."
-      (List.length idx_violations)
-      (List.length seed_violations);
-  let indexed_s =
-    time_reps ~reps (fun () -> Checker.check_safety trace ~initial)
-  in
-  let seed_s =
-    time_reps ~reps (fun () -> Seed_checker.check_safety trace ~initial)
-  in
-  let reference_s =
-    time_reps ~reps (fun () -> Checker.Reference.check_safety trace ~initial)
-  in
-  let speedup = seed_s /. indexed_s in
-  pr "checker on n=32 churn trace (%d events): indexed %.4fms, seed \
-      list-scan %.4fms -> x%.1f  %s@."
-    (Trace.length trace) (indexed_s *. 1e3) (seed_s *. 1e3) speedup
-    (pass (speedup >= 5.0));
-  pr "  (new property logic on the naive scans alone: %.4fms -> x%.1f)@."
-    (reference_s *. 1e3)
-    (reference_s /. indexed_s);
-  J.obj
-    [ ("trace_events", J.int (Trace.length trace));
-      ("indexed_s", J.float indexed_s);
-      ("seed_s", J.float seed_s);
-      ("reference_s", J.float reference_s);
-      ("speedup_vs_seed", J.float speedup);
-      ("speedup_vs_reference", J.float (reference_s /. indexed_s)) ]
-
-(* ---------------------------------------------------------------- *)
-(* E-explore: schedule-explorer throughput (snapshots vs replay)     *)
-(* ---------------------------------------------------------------- *)
-
-module E = Gmp_explore.Explore
-
-(* Bounded exploration of the assurance model, checkpoint/restore snapshots
-   against the rebuild-and-replay oracle. Everything except wall-clock is
-   deterministic, and the two engines must agree on all of it — executions,
-   distinct interleavings, every counter, the (absent) counterexample — so
-   any disagreement comes back as a drift failure and fails the bench,
-   mirroring the test suite's oracle-equivalence cases. *)
-let explore_throughput () =
-  section
-    "E-explore: schedule-explorer throughput (snapshots vs replay oracle; \
-     assurance, depth 12, budget 25000)";
-  let depth = 12 and budget = 25_000 in
-  let model = E.assurance () in
-  pr "%-16s %9s %12s %14s %12s %10s@." "engine" "wall" "exec/s"
-    "distinct/s" "executions" "distinct";
-  let cell ~snapshots =
-    let label = if snapshots then "seq/snapshots" else "seq/replay" in
-    let o, wall = time_of (fun () -> E.explore ~snapshots model ~depth ~budget) in
-    let s = o.E.stats in
-    pr "%-16s %8.3fs %12.0f %14.0f %12d %10d@." label wall
-      (float_of_int s.E.executions /. wall)
-      (float_of_int s.E.distinct /. wall)
-      s.E.executions s.E.distinct;
-    let json =
-      J.obj
-        [ ("label", J.string label);
-          ("snapshots", J.bool snapshots);
-          ("executions", J.int s.E.executions);
-          ("distinct", J.int s.E.distinct);
-          ("frames", J.int s.E.frames);
-          ("state_pruned", J.int s.E.state_pruned);
-          ("sleep_pruned", J.int s.E.sleep_pruned);
-          ("violation_found", J.bool (o.E.counterexample <> None));
-          ("wall_s", J.float wall);
-          ("executions_per_s", J.float (float_of_int s.E.executions /. wall));
-          ("distinct_per_s", J.float (float_of_int s.E.distinct /. wall)) ]
-    in
-    (label, o, wall, json)
-  in
-  (* Bound one by one so the rows run (and print) in table order. *)
-  let la, oa, wa, ja = cell ~snapshots:true in
-  let lb, ob, wb, jb = cell ~snapshots:false in
-  (* Engine-equivalence drift check (byte-identical outcomes). *)
-  let agree = oa = ob in
-  pr "outcome %s == %s: %s@." la lb (pass agree);
-  let fails =
-    if agree then []
-    else
-      [ Fmt.str "explorer outcome drift: %s and %s disagree (assurance, \
-                 depth %d, budget %d)" la lb depth budget ]
-  in
-  let speedup_vs_replay = wb /. wa in
-  pr "snapshots vs in-process replay oracle: x%.2f@." speedup_vs_replay;
-  let json =
-    J.obj
-      [ ("model", J.string "assurance");
-        ("depth", J.int depth);
-        ("budget", J.int budget);
-        ("cells", J.list [ ja; jb ]);
-        ("speedup_vs_replay", J.float speedup_vs_replay) ]
-  in
-  (json, fails)
+  Array.to_list results
+  |> List.map (function
+       | Some c -> c
+       | None -> failwith "bench: scale cell never ran")
 
 let scale ~quick ~jobs () =
   section
-    (if quick then "E-scale (quick): simulator throughput"
-     else "E-scale: simulator throughput (indexed traces, compacted timers)");
+    (if quick then "E-scale (quick): exact simulator counts"
+     else "E-scale: exact simulator counts (indexed traces, compacted timers)");
   (* Churn cost grows as n^2 x horizon (the horizon itself scales with the
      crash count), so n=256 churn is minutes of wall-clock; the single-crash
      workload carries the n=256 point instead. *)
@@ -700,126 +590,64 @@ let scale ~quick ~jobs () =
         churn_sizes
   in
   pr "%d cells on %d worker domain(s)@." (List.length cells) jobs;
-  pr "%-14s %-6s %10s %10s %10s %10s %9s %9s %11s@." "scenario" "n" "wall"
-    "events" "peak-heap" "messages" "trace" "words/ev" "checker";
-  let runs, pool_wall = run_cells ~jobs cells in
+  pr "%-14s %-6s %10s %10s %10s %9s %9s@." "scenario" "n" "events"
+    "peak-heap" "messages" "trace" "words/ev";
+  let runs = run_cells ~jobs cells in
   List.iter (fun c -> pr "%s@." c.c_row) runs;
-  let cells_wall = List.fold_left (fun acc c -> acc +. c.c_wall) 0.0 runs in
-  let parallel_speedup = cells_wall /. Float.max pool_wall 1e-9 in
-  pr "cells: %.2fs of scenario work in %.2fs wall (speedup x%.2f on %d \
-      domain(s))@."
-    cells_wall pool_wall parallel_speedup jobs;
-  let speedup = checker_speedup () in
-  let explorer_json, explorer_fails = explore_throughput () in
   let doc =
     J.obj
       [ ("quick", J.bool quick);
-        ("jobs", J.int jobs);
-        ("scenarios", J.list (List.map (fun c -> c.c_json) runs));
-        ("explorer_throughput", explorer_json);
-        ("cells_wall_s", J.float cells_wall);
-        ("pool_wall_s", J.float pool_wall);
-        ("parallel_speedup", J.float parallel_speedup);
-        ("checker_speedup_n32_churn", speedup) ]
+        ("scenarios", J.list (List.map (fun c -> c.c_json) runs)) ]
   in
   let oc = open_out "BENCH_scale.json" in
   output_string oc (J.to_string doc);
   output_char oc '\n';
   close_out oc;
   pr "wrote BENCH_scale.json@.";
-  List.concat_map (fun c -> c.c_fails) runs @ explorer_fails
+  List.concat_map (fun c -> c.c_fails) runs
 
-(* ---------------------------------------------------------------- *)
-(* Bechamel micro-benchmarks                                         *)
-(* ---------------------------------------------------------------- *)
+(* Flags: --quick (the CI smoke subset) and --jobs N / --jobs=N, the
+   worker-domain count for the E-scale pool. --jobs 0 autodetects the core
+   count; the default of 1 still goes through the pool so the emitted JSON
+   is identical for every value. Anything else is rejected. *)
+let usage msg =
+  Fmt.epr "bench: %s@.usage: main.exe [--quick] [--jobs N]@." msg;
+  exit 2
 
-let bechamel_section () =
-  section "Bechamel micro-benchmarks (wall-clock per whole scenario run)";
-  let open Bechamel in
-  let scenario_test name f =
-    Test.make ~name (Staged.stage (fun () -> ignore (f ())))
-  in
-  let tests =
-    Test.make_grouped ~name:"scenarios"
-      [ scenario_test "E1-exclusion-n8" (fun () -> Scenario.single_crash ~n:8 ());
-        scenario_test "E2-compressed-n8" (fun () ->
-            Scenario.compressed_pair ~n:8 ());
-        scenario_test "E3-reconfig-n8" (fun () -> Scenario.mgr_crash ~n:8 ());
-        scenario_test "E5-sequence-n8" (fun () ->
-            Scenario.sequence_all ~n:8 ());
-        scenario_test "E6-symmetric-n8" (fun () ->
-            Scenario.symmetric_single_crash ~n:8 ());
-        scenario_test "view-ops" (fun () ->
-            let v = View.initial (Pid.group 64) in
-            let v = View.remove v (Pid.make 13) in
-            View.rank v (Pid.make 63)) ]
-  in
-  let benchmark () =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in
-    Benchmark.all cfg instances tests
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock (benchmark ())
-  in
-  let rows =
-    Hashtbl.fold
-      (fun name result acc ->
-        let est =
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] -> est
-          | _ -> Float.nan
-        in
-        (name, est) :: acc)
-      results []
-  in
-  List.iter
-    (fun (name, est) ->
-      if Float.is_nan est then pr "%-36s (no estimate)@." name
-      else pr "%-36s %12.0f ns/run@." name est)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
-
-(* --jobs N: worker-domain count for the E-scale pool. 0 autodetects the
-   core count; negatives are rejected; the default of 1 still goes through
-   the pool so the emitted JSON is identical for every value. *)
-let parse_jobs () =
-  let argv = Sys.argv in
-  let jobs = ref 1 in
-  let set raw =
+let parse_args () =
+  let quick = ref false and jobs = ref 1 in
+  let set_jobs raw =
     match int_of_string_opt raw with
-    | None ->
-      Fmt.epr "bench: invalid --jobs value %S@." raw;
-      exit 2
-    | Some j when j < 0 ->
-      Fmt.epr "bench: --jobs must be >= 0, got %d@." j;
-      exit 2
+    | None -> usage (Fmt.str "invalid --jobs value %S" raw)
+    | Some j when j < 0 -> usage (Fmt.str "--jobs must be >= 0, got %d" j)
     | Some 0 -> jobs := Domain.recommended_domain_count ()
     | Some j -> jobs := j
   in
-  Array.iteri
-    (fun i arg ->
-      if String.equal arg "--jobs" then
-        if i + 1 < Array.length argv then set argv.(i + 1)
-        else begin
-          Fmt.epr "bench: --jobs needs a value@.";
-          exit 2
-        end
-      else if String.length arg > 7 && String.equal (String.sub arg 0 7) "--jobs="
-      then set (String.sub arg 7 (String.length arg - 7)))
-    argv;
-  !jobs
+  let rec go = function
+    | [] -> ()
+    | "--quick" :: rest ->
+      quick := true;
+      go rest
+    | [ "--jobs" ] -> usage "--jobs needs a value"
+    | "--jobs" :: raw :: rest ->
+      set_jobs raw;
+      go rest
+    | arg :: rest when String.starts_with ~prefix:"--jobs=" arg ->
+      set_jobs (String.sub arg 7 (String.length arg - 7));
+      go rest
+    | arg :: _ -> usage (Fmt.str "unknown argument %S" arg)
+  in
+  go (List.tl (Array.to_list Sys.argv));
+  (!quick, !jobs)
 
 let () =
-  let quick = Array.exists (String.equal "--quick") Sys.argv in
-  let jobs = parse_jobs () in
+  let quick, jobs = parse_args () in
   pr "Reproduction harness: Ricciardi & Birman, 'Using Process Groups to Implement@.";
   pr "Failure Detection in Asynchronous Environments' (PODC 1991 / TR 91-1188)@.";
-  let failures =
+  let scale_failures =
     if quick then begin
       (* CI smoke mode: the cheap paper sections plus the scale section at its
-         smallest sizes, so perf regressions and envelope breaks fail fast. *)
+         smallest sizes, so count drift and envelope breaks fail fast. *)
       table1 ();
       e1 ();
       e3 ();
@@ -846,16 +674,14 @@ let () =
       ab2 ();
       ab3 ();
       ab4 ();
-      let failures = scale ~quick:false ~jobs () in
-      bechamel_section ();
-      failures
+      scale ~quick:false ~jobs ()
     end
   in
   pr "@.done.@.";
-  match failures with
+  match List.rev_append !failures scale_failures with
   | [] -> ()
   | failures ->
-    pr "@.%d deterministic-count drift(s) vs bench/expectations.ml:@."
+    pr "@.%d failed verdict(s) (paper sections, bench/expectations.ml):@."
       (List.length failures);
     List.iter (fun msg -> pr "  %s@." msg) failures;
     exit 1

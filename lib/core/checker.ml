@@ -7,8 +7,8 @@
    The property logic is written once, in [Make], against an abstract set of
    trace queries. The default instance runs on {!Trace}'s incremental
    indexes (O(touched) per query, so a full safety check is near-linear in
-   the trace); [Reference] runs the identical logic on the seed's naive
-   list scans and exists as the benchmark baseline and test oracle. *)
+   the trace). The test suite instantiates [Make] over the seed's naive list
+   scans as the oracle the indexes are checked against. *)
 
 open Gmp_base
 
@@ -190,7 +190,6 @@ module Make (Q : QUERIES) : S = struct
 end
 
 include Make (Trace)
-module Reference = Make (Trace.Reference)
 
 (* Liveness (not a numbered GMP property, but the point of the exercise):
    after quiescence the operational processes agree on one view, and that

@@ -8,8 +8,8 @@ type violation = { property : string; detail : string }
 val pp_violation : violation Fmt.t
 
 (** The trace queries the property logic is written against. The default
-    instance below uses {!Trace}'s incremental indexes; {!Trace.Reference}
-    provides the naive list-scan instance. *)
+    instance below uses {!Trace}'s incremental indexes; the test suite
+    supplies a naive list-scan instance as its oracle. *)
 module type QUERIES = sig
   val by_owner : Trace.t -> Pid.t -> Trace.event list
   val installs : Trace.t -> (Trace.event * int * Pid.t list) list
@@ -52,12 +52,6 @@ module Make (Q : QUERIES) : S
 include S
 (** The default checkers, served by {!Trace}'s indexes: a full
     [check_safety] is near-linear in the trace. *)
-
-module Reference : S
-(** The same checks over the seed's O(events) list scans
-    ({!Trace.Reference}) — the property-test oracle for the indexes, not
-    for production use. The benchmark's speedup baseline is the fully
-    frozen pre-indexing checker in [bench/seed_checker.ml]. *)
 
 val check_convergence :
   surviving_views:(Pid.t * int * Pid.t list) list ->

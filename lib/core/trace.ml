@@ -5,9 +5,8 @@
 
    Storage is a growable array plus per-owner and per-kind indexes maintained
    incrementally at [record] time: recording is O(1) amortized and every
-   query pays O(result), not O(trace). The previous list-scan implementations
-   survive in {!Reference} as the oracle for property tests and the baseline
-   for the checker benchmarks. *)
+   query pays O(result), not O(trace). The test suite keeps the seed's
+   list-scan implementations as the oracle the indexes are fuzzed against. *)
 
 open Gmp_base
 open Gmp_causality
@@ -250,57 +249,6 @@ let restore t cp =
   restore_table t.owner_ix cp.cp_owner_marks;
   restore_table t.owner_install_ix cp.cp_owner_install_marks;
   t.owners_rev <- cp.cp_owners_rev
-
-(* ---- Reference implementations: the seed's naive list scans ----
-
-   Kept verbatim (modulo operating on [events t]) as the oracle the property
-   tests fuzz the indexes against, and as the baseline the benchmark's
-   checker-speedup figure is measured over. *)
-
-module Reference = struct
-  let by_owner t pid =
-    List.filter (fun e -> Pid.equal e.owner pid) (events t)
-
-  let installs t =
-    List.filter_map
-      (fun e ->
-        match e.kind with
-        | Installed { ver; view_members } -> Some (e, ver, view_members)
-        | _ -> None)
-      (events t)
-
-  let installs_of t pid =
-    List.filter_map
-      (fun (e, ver, view_members) ->
-        if Pid.equal e.owner pid then Some (ver, view_members) else None)
-      (installs t)
-
-  let detections t =
-    List.filter_map
-      (fun e -> match e.kind with Faulty q -> Some (e.owner, q, e) | _ -> None)
-      (events t)
-
-  let quits t =
-    List.filter_map
-      (fun e ->
-        match e.kind with
-        | Quit reason -> Some (e.owner, `Quit reason)
-        | Crashed -> Some (e.owner, `Crashed)
-        | _ -> None)
-      (events t)
-
-  let violations t =
-    List.filter_map
-      (fun e -> match e.kind with Violation v -> Some (e.owner, v) | _ -> None)
-      (events t)
-
-  let owners t =
-    List.fold_left
-      (fun acc e ->
-        if List.exists (Pid.equal e.owner) acc then acc else e.owner :: acc)
-      [] (events t)
-    |> List.rev
-end
 
 let pp_kind ppf = function
   | Faulty q -> Fmt.pf ppf "faulty(%a)" Pid.pp q

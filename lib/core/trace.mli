@@ -81,19 +81,6 @@ type checkpoint
 val checkpoint : t -> checkpoint
 val restore : t -> checkpoint -> unit
 
-(** The naive list-scan implementations of the queries above (the seed's
-    originals). Each is O(length) per call; they are the oracle the property
-    tests compare the indexes against and the baseline for the benchmark's
-    checker-speedup measurement. *)
-module Reference : sig
-  val by_owner : t -> Pid.t -> event list
-  val installs : t -> (event * int * Pid.t list) list
-  val installs_of : t -> Pid.t -> (int * Pid.t list) list
-  val detections : t -> (Pid.t * Pid.t * event) list
-  val quits : t -> (Pid.t * [ `Quit of string | `Crashed ]) list
-  val violations : t -> (Pid.t * string) list
-  val owners : t -> Pid.t list
-end
 val pp_kind : kind Fmt.t
 val pp_event : event Fmt.t
 val pp : t Fmt.t

@@ -27,7 +27,6 @@ let cat_mutex = Mutex.create ()
 
 let freeze () = Atomic.set cat_frozen true
 let thaw () = Atomic.set cat_frozen false
-let is_frozen () = Atomic.get cat_frozen
 
 let intern name =
   match Hashtbl.find_opt cat_index name with

@@ -27,8 +27,6 @@ val freeze : unit -> unit
 val thaw : unit -> unit
 (** Re-allow interning, once all worker domains have been joined. *)
 
-val is_frozen : unit -> bool
-
 val name : category -> string
 (** Inverse of {!intern}. *)
 

@@ -101,14 +101,19 @@ let test_assurance_quick () =
 
 let test_assurance_ten_thousand () =
   (* The acceptance bar: >= 10k distinct interleavings of the full
-     algorithm at n=3, zero violations. *)
+     algorithm at n=3, zero violations. The exact stats are pinned too: any
+     change to them is a search change. *)
   let o = E.explore (E.assurance ()) ~depth:12 ~budget:25_000 in
+  let s = o.E.stats in
   check bool "no violation" true (o.E.counterexample = None);
   check bool
-    (Fmt.str "at least 10k distinct interleavings (got %d)"
-       o.E.stats.E.distinct)
-    true
-    (o.E.stats.E.distinct >= 10_000)
+    (Fmt.str "at least 10k distinct interleavings (got %d)" s.E.distinct)
+    true (s.E.distinct >= 10_000);
+  check int "executions" 25_000 s.E.executions;
+  check int "distinct" 15_618 s.E.distinct;
+  check int "frames" 176_734 s.E.frames;
+  check int "state_pruned" 9_343 s.E.state_pruned;
+  check int "sleep_pruned" 50_576 s.E.sleep_pruned
 
 let test_sensitivity_finds_hole () =
   let m = E.sensitivity () in
@@ -142,8 +147,9 @@ let test_snapshots_oracle_equivalence () =
   (* The checkpoint/restore engine (default) and the rebuild-and-replay
      oracle must produce byte-identical outcomes: every statistic, the
      distinct-interleaving count and the (absent) counterexample. The
-     larger setting spends most of its budget in the depth-8 round, with
-     about four times the state-pruned executions. *)
+     depth-10 setting spends most of its budget in the depth-8 round, with
+     about four times the state-pruned executions; depth 12 is the
+     assurance acceptance setting pinned above. *)
   let m = E.assurance () in
   List.iter
     (fun (depth, budget) ->
@@ -153,7 +159,7 @@ let test_snapshots_oracle_equivalence () =
         (Fmt.str "assurance depth %d: on == off (full outcome)" depth)
         true (on = off);
       check bool "actually explored" true (on.E.stats.E.distinct > 1000))
-    [ (8, 3000); (10, 8000) ]
+    [ (8, 3000); (10, 8000); (12, 25_000) ]
 
 let test_snapshots_oracle_equivalence_sensitivity () =
   (* Same equality when a violation is found: identical failing execution

@@ -2,7 +2,7 @@
    tombstone-compaction bound.
 
    [Trace]'s queries are served from indexes built incrementally at [record]
-   time; [Trace.Reference] keeps the seed's naive scans. On any trace the two
+   time; [Naive] below keeps the seed's list scans. On any trace the two
    must agree exactly — fuzzing the recorded kinds exercises every index. *)
 
 open Gmp_base
@@ -10,6 +10,58 @@ open Gmp_core
 module Group = Gmp_runtime.Group
 
 let qtest = QCheck_alcotest.to_alcotest
+
+(* ---- the oracle: the seed's naive list scans, O(length) per call ---- *)
+
+module Naive = struct
+  open Trace
+
+  let by_owner t pid =
+    List.filter (fun e -> Pid.equal e.owner pid) (events t)
+
+  let installs t =
+    List.filter_map
+      (fun e ->
+        match e.kind with
+        | Installed { ver; view_members } -> Some (e, ver, view_members)
+        | _ -> None)
+      (events t)
+
+  let installs_of t pid =
+    List.filter_map
+      (fun (e, ver, view_members) ->
+        if Pid.equal e.owner pid then Some (ver, view_members) else None)
+      (installs t)
+
+  let detections t =
+    List.filter_map
+      (fun e -> match e.kind with Faulty q -> Some (e.owner, q, e) | _ -> None)
+      (events t)
+
+  let quits t =
+    List.filter_map
+      (fun e ->
+        match e.kind with
+        | Quit reason -> Some (e.owner, `Quit reason)
+        | Crashed -> Some (e.owner, `Crashed)
+        | _ -> None)
+      (events t)
+
+  let violations t =
+    List.filter_map
+      (fun e -> match e.kind with Violation v -> Some (e.owner, v) | _ -> None)
+      (events t)
+
+  let owners t =
+    List.fold_left
+      (fun acc e ->
+        if List.exists (Pid.equal e.owner) acc then acc else e.owner :: acc)
+      [] (events t)
+    |> List.rev
+end
+
+(* The same property logic as [Checker], run on the naive scans. *)
+module Naive_checker = Checker.Make (Naive)
 
 (* ---- fuzzed traces: indexed queries = naive list scans ---- *)
 
@@ -53,15 +105,15 @@ let prop_indexes_match_reference =
     ~count:300 entries_arb (fun entries ->
       let t = build_trace entries in
       let pids = Pid.make 99 :: Trace.owners t in
-      Trace.owners t = Trace.Reference.owners t
-      && Trace.installs t = Trace.Reference.installs t
-      && Trace.detections t = Trace.Reference.detections t
-      && Trace.quits t = Trace.Reference.quits t
-      && Trace.violations t = Trace.Reference.violations t
+      Trace.owners t = Naive.owners t
+      && Trace.installs t = Naive.installs t
+      && Trace.detections t = Naive.detections t
+      && Trace.quits t = Naive.quits t
+      && Trace.violations t = Naive.violations t
       && List.for_all
            (fun p ->
-             Trace.by_owner t p = Trace.Reference.by_owner t p
-             && Trace.installs_of t p = Trace.Reference.installs_of t p)
+             Trace.by_owner t p = Naive.by_owner t p
+             && Trace.installs_of t p = Naive.installs_of t p)
            pids)
 
 let prop_checker_instances_agree =
@@ -70,7 +122,7 @@ let prop_checker_instances_agree =
       let t = build_trace entries in
       let initial = Pid.group 4 in
       Checker.check_safety t ~initial
-      = Checker.Reference.check_safety t ~initial)
+      = Naive_checker.check_safety t ~initial)
 
 let prop_checker_agrees_on_runs =
   QCheck.Test.make ~name:"checker: instances agree on real churn runs"
@@ -81,7 +133,7 @@ let prop_checker_agrees_on_runs =
       let trace = Group.trace group in
       let initial = Group.initial group in
       Checker.check_safety trace ~initial
-      = Checker.Reference.check_safety trace ~initial)
+      = Naive_checker.check_safety trace ~initial)
 
 (* ---- SoA event queue against a sorted-list oracle ---- *)
 
