@@ -439,24 +439,36 @@ let run_cluster n joiners run_for kills joins blackholes unblackholes netems
       then m0
       else []
   in
-  let arq =
-    (* Counters summaries exist only for nodes that shut down cleanly;
-       SIGKILLed ones have none, by design. *)
-    List.filter_map
-      (fun p ->
-        Option.map
-          (fun cs -> (p.pid, cs))
-          (Gmp_live.Trace_io.read_arq p.log_file))
-      !procs
+  let logged =
+    List.map (fun p -> (p, Gmp_live.Trace_io.read_metrics p.log_file)) !procs
   in
-  let transports =
+  (* Per-node counter rows, read from the final metrics line of every node
+     that shut down: one SIGKILLed (by --kill, or reaped as stuck) has no
+     final line, only at best a stale periodic one, so it has no row. *)
+  let counter_rows prefixes =
     List.filter_map
-      (fun p ->
-        Option.map
-          (fun (kind, cs) -> (p.pid, kind, cs))
-          (Gmp_live.Trace_io.read_transport p.log_file))
-      !procs
+      (fun (p, snap) ->
+        match snap with
+        | Some snap
+          when not (p.killed || List.exists (Pid.equal p.pid) stuck) ->
+          Some
+            ( p.pid,
+              List.filter_map
+                (fun (k, m) ->
+                  match m with
+                  | Obs.Snapshot.Counter v
+                    when List.exists
+                           (fun prefix -> String.starts_with ~prefix k)
+                           prefixes ->
+                    Some (k, v)
+                  | _ -> None)
+                (Obs.Snapshot.metrics snap) )
+        | _ -> None)
+      logged
   in
+  let arq = counter_rows [ "arq."; "netem." ] in
+  let transports = counter_rows [ "transport." ] in
+  let kind = Gmp_live.Transport.kind_name transport in
   let trace = Gmp_live.Trace_io.reassemble (List.map snd per_node) in
   (* Per-node registry snapshots: a clean shutdown leaves a final metrics
      line in the log (most complete, wins); a SIGKILLed node contributes
@@ -467,12 +479,12 @@ let run_cluster n joiners run_for kills joins blackholes unblackholes netems
      injected crashes, so [stuck] is deliberately absent). *)
   let node_metrics =
     List.filter_map
-      (fun p ->
-        match Gmp_live.Trace_io.read_metrics p.log_file with
+      (fun (p, snap) ->
+        match snap with
         | Some snap -> Some (p.pid, snap)
         | None ->
           Option.map (fun s -> (p.pid, s)) (List.assoc_opt p.pid scraped))
-      !procs
+      logged
   in
   let metrics =
     let latency = Obs.create () in
@@ -543,7 +555,7 @@ let run_cluster n joiners run_for kills joins blackholes unblackholes netems
               ( "transport",
                 J.list
                   (List.map
-                     (fun (p, kind, cs) ->
+                     (fun (p, cs) ->
                        J.obj
                          (("pid", Export.json_of_pid p)
                          :: ("kind", J.string kind)
@@ -571,7 +583,7 @@ let run_cluster n joiners run_for kills joins blackholes unblackholes netems
           cs)
       arq;
     List.iter
-      (fun (p, kind, cs) ->
+      (fun (p, cs) ->
         Fmt.pr "%a %s: %a@." Pid.pp p kind
           Fmt.(list ~sep:(any " ") (pair ~sep:(any "=") string int))
           cs)

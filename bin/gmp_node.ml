@@ -230,7 +230,6 @@ let main self transport port bind peers peer_list initial joiner contacts
         heartbeat_interval = hb_interval;
         heartbeat_timeout = hb_timeout }
     in
-    let rto = Option.value (Config.arq_rto_for config self) ~default:rto in
     let log =
       if verbose then fun s ->
         Printf.eprintf "[%s] %s\n%!" (Pid.to_string self) s
@@ -271,11 +270,6 @@ let main self transport port bind peers peer_list initial joiner contacts
       (Fmt.str "stopping: view v%d %a" (Member.version member)
          Fmt.(list ~sep:(any ",") Pid.pp)
          (View.members (Member.view member)));
-    Gmp_live.Trace_io.write_arq writer ~pid:self
-      (Gmp_live.Node.counters node);
-    Gmp_live.Trace_io.write_transport writer ~pid:self
-      ~kind:(Gmp_live.Node.transport_kind node)
-      (Gmp_live.Node.transport_counters node);
     write_metrics ();
     Gmp_live.Trace_io.close writer;
     Gmp_live.Node.close node;

@@ -373,7 +373,6 @@ let member key = function
 
 let to_string_opt = function String s -> Some s | _ -> None
 let to_int_opt = function Int i -> Some i | _ -> None
-let to_bool_opt = function Bool b -> Some b | _ -> None
 
 let to_float_opt = function
   | Float f -> Some f

@@ -44,6 +44,5 @@ val to_int_opt : t -> int option
 val to_float_opt : t -> float option
 (** Accepts {!Int} too (JSON does not distinguish). *)
 
-val to_bool_opt : t -> bool option
 val to_list_opt : t -> t list option
 val to_obj_opt : t -> (string * t) list option

@@ -26,9 +26,6 @@ type frontier = int Pid.Map.t (* events included per process; absent = 0 *)
 let frontier_get f pid =
   match Pid.Map.find_opt pid f with None -> 0 | Some n -> n
 
-let events_of_cut log frontier =
-  List.filter (fun e -> e.index <= frontier_get frontier e.owner) log
-
 (* The cut is consistent iff for every included event e and every process q,
    the knowledge e carries about q (vc(e).(q)) is included in the cut:
    vc(e).(q) <= frontier(q). We check only each process's frontier event: its
@@ -104,7 +101,3 @@ let leq_frontier f g =
   Pid.Map.for_all (fun pid n -> n <= frontier_get g pid) f
 
 let lt_frontier f g = leq_frontier f g && not (leq_frontier g f)
-
-let pp_frontier ppf f =
-  let entry ppf (pid, n) = Fmt.pf ppf "%a:%d" Pid.pp pid n in
-  Fmt.pf ppf "<%a>" Fmt.(list ~sep:(any " ") entry) (Pid.Map.bindings f)

@@ -23,7 +23,6 @@ type frontier = int Pid.Map.t
 
 val frontier_get : frontier -> Pid.t -> int
 val frontier_of_events : 'a event list -> frontier
-val events_of_cut : 'a log -> frontier -> 'a event list
 
 val is_consistent : 'a log -> frontier -> bool
 (** Closed under happens-before: no included event received a message whose
@@ -35,5 +34,3 @@ val closure : 'a log -> 'a event list -> frontier
 val leq_frontier : frontier -> frontier -> bool
 val lt_frontier : frontier -> frontier -> bool
 (** The paper's [c < c'] / [c << c'] prefix orders on cuts. *)
-
-val pp_frontier : frontier Fmt.t

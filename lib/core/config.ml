@@ -1,15 +1,5 @@
 (* Protocol configuration. *)
 
-open Gmp_base
-
-type tuning = {
-  hb_interval : float option;
-  hb_timeout : float option;
-  arq_rto : float option;
-}
-
-let tune ?hb_interval ?hb_timeout ?arq_rto () = { hb_interval; hb_timeout; arq_rto }
-
 type t = {
   heartbeats : bool;
       (* Run the heartbeat detector (F1). Scripted experiments may turn it
@@ -41,11 +31,6 @@ type t = {
   reconf_reuse_grace : float;
       (* How long an initiator-to-be waits for pre-sent replies to land
          before interrogating (trades recovery latency for messages). *)
-  tuning : (Pid.t * tuning) list;
-      (* Per-member overrides of the timing knobs (empty by default, so
-         every existing scenario is unchanged). A live deployment mixes
-         hosts with different latency floors; the sim uses this to model a
-         slow or aggressive member without forking the global config. *)
 }
 
 let default =
@@ -56,8 +41,7 @@ let default =
     require_majority_update = true;
     require_majority_reconf = true;
     reconf_reuse = false;
-    reconf_reuse_grace = 5.0;
-    tuning = [] }
+    reconf_reuse_grace = 5.0 }
 
 let optimized = { default with reconf_reuse = true }
 
@@ -73,27 +57,3 @@ let partitionable =
   { default with
     require_majority_update = false;
     require_majority_reconf = false }
-
-(* ---- per-member knob resolution ---- *)
-
-let with_tuning t pid tuning =
-  { t with
-    tuning = (pid, tuning) :: List.remove_assoc pid t.tuning }
-
-let tuning_for t pid =
-  List.find_opt (fun (p, _) -> Pid.equal p pid) t.tuning |> Option.map snd
-
-let heartbeat_interval_for t pid =
-  match tuning_for t pid with
-  | Some { hb_interval = Some v; _ } -> v
-  | Some _ | None -> t.heartbeat_interval
-
-let heartbeat_timeout_for t pid =
-  match tuning_for t pid with
-  | Some { hb_timeout = Some v; _ } -> v
-  | Some _ | None -> t.heartbeat_timeout
-
-let arq_rto_for t pid =
-  match tuning_for t pid with
-  | Some { arq_rto = (Some _ as v); _ } -> v
-  | Some _ | None -> None

@@ -1,22 +1,5 @@
 (** Protocol configuration. *)
 
-open Gmp_base
-
-type tuning = {
-  hb_interval : float option;  (** Override of [heartbeat_interval]. *)
-  hb_timeout : float option;  (** Override of [heartbeat_timeout]. *)
-  arq_rto : float option;
-      (** Override of the ARQ retransmission timeout for channels whose
-          {e sender} is this member (the transport layers consult
-          {!arq_rto_for}). *)
-}
-(** Per-member overrides of the timing knobs. A live deployment mixes hosts
-    with different latency floors; the sim uses this to model a slow or
-    aggressive member without forking the global config. *)
-
-val tune :
-  ?hb_interval:float -> ?hb_timeout:float -> ?arq_rto:float -> unit -> tuning
-
 type t = {
   heartbeats : bool;
       (** Run the heartbeat detector (F1). Scripted experiments may turn it
@@ -43,9 +26,6 @@ type t = {
   reconf_reuse_grace : float;
       (** How long an initiator-to-be waits for pre-sent replies to land
           before interrogating (latency traded for messages). *)
-  tuning : (Pid.t * tuning) list;
-      (** Per-member knob overrides; empty by default, so defaults and
-          existing sim traces are unchanged. *)
 }
 
 val default : t
@@ -67,19 +47,3 @@ val partitionable : t
 (** The §8 partitioned variation (Deceit-style): no majority requirements,
     so minority partitions keep operating under their own views. System
     views are no longer unique; reconciliation is the application's job. *)
-
-(** {1 Per-member knob resolution} *)
-
-val with_tuning : t -> Pid.t -> tuning -> t
-(** Replace the overrides for one member (keeps the rest). *)
-
-val tuning_for : t -> Pid.t -> tuning option
-
-val heartbeat_interval_for : t -> Pid.t -> float
-(** The member's heartbeat interval: its override, or the global knob. *)
-
-val heartbeat_timeout_for : t -> Pid.t -> float
-
-val arq_rto_for : t -> Pid.t -> float option
-(** The member's ARQ retransmission timeout override, if any (the
-    transport's own default applies otherwise). *)

@@ -73,10 +73,8 @@ let pid = self
 let view t = t.view
 let version t = t.ver
 let seq t = t.seq
-let next_expectations t = t.next
 let manager t = t.mgr
 let faulty_set t = t.faulty
-let recovered_set t = t.recovered
 let has_quit t = t.has_quit
 let crashed t = not (t.node.Platform.alive ())
 let operational t = (not t.has_quit) && t.node.Platform.alive ()
@@ -933,8 +931,8 @@ let create ?(joiner = false) ~node ~trace ~config ~initial () =
   if config.Config.heartbeats then begin
     let d =
       Heartbeat.create ~now:node.Platform.now ~set_timer:node.Platform.set_timer
-        ~interval:(Config.heartbeat_interval_for config pid_)
-        ~timeout:(Config.heartbeat_timeout_for config pid_)
+        ~interval:config.Config.heartbeat_interval
+        ~timeout:config.Config.heartbeat_timeout
         ~send_beats:(fun peers -> broadcast t ~dsts:peers Wire.Heartbeat)
         ~peers:(fun () -> heartbeat_peers t)
         ~suspect:(fun q ->

@@ -34,8 +34,7 @@ val create :
   t
 (** A member of the initial group, or (with [~joiner:true]) a process with
     no view yet that must be admitted via {!start_join}. The member's pid is
-    the node's; heartbeat knobs honor the config's per-member
-    {!Config.tuning}. *)
+    the node's. *)
 
 val start_join : ?retry_interval:float -> t -> contacts:Pid.t list -> unit
 (** Ask to be admitted, retrying round-robin over [contacts] (default every
@@ -49,14 +48,12 @@ val self : t -> Pid.t
 val view : t -> View.t
 val version : t -> int
 val seq : t -> Types.seq
-val next_expectations : t -> Types.expectation list
 val manager : t -> Pid.t
 (** The process currently acting as coordinator from this member's point of
     view (the view head initially; the committing initiator after a
     reconfiguration). *)
 
 val faulty_set : t -> Pid.Set.t
-val recovered_set : t -> Pid.Set.t
 val has_quit : t -> bool
 val crashed : t -> bool
 val operational : t -> bool

@@ -36,7 +36,6 @@ type t = {
   mutable clients : Pid.Set.t;
   mutable expelled : Pid.Set.t;
   mutable rseq : int; (* changes applied *)
-  mutable on_change : t -> unit;
   mutable chained : src:Pid.t -> Wire.app -> unit;
       (* non-roster app traffic falls through to the previous handler *)
 }
@@ -46,7 +45,6 @@ let clients t = t.clients
 let expelled t = t.expelled
 let sequence t = t.rseq
 let is_client t p = Pid.Set.mem p t.clients
-let set_on_change t f = t.on_change <- f
 
 let apply t ~rseq ~enroll ~client =
   if rseq = t.rseq + 1 then begin
@@ -56,16 +54,14 @@ let apply t ~rseq ~enroll ~client =
     else begin
       t.clients <- Pid.Set.remove client t.clients;
       t.expelled <- Pid.Set.add client t.expelled
-    end;
-    t.on_change t
+    end
   end
 
 let adopt_snapshot t ~snap_rseq ~clients ~expelled =
   if snap_rseq >= t.rseq then begin
     t.rseq <- snap_rseq;
     t.clients <- Pid.Set.of_list clients;
-    t.expelled <- Pid.Set.of_list expelled;
-    t.on_change t
+    t.expelled <- Pid.Set.of_list expelled
   end
 
 let broadcast_snapshot t =
@@ -110,7 +106,6 @@ let attach member =
       clients = Pid.Set.empty;
       expelled = Pid.Set.empty;
       rseq = 0;
-      on_change = (fun _ -> ());
       chained = (fun ~src:_ _ -> ()) }
   in
   Member.set_app_handler member (fun ~src msg -> handle t ~src msg);

@@ -24,7 +24,6 @@ val sequence : t -> int
 (** Number of roster changes applied. *)
 
 val is_client : t -> Pid.t -> bool
-val set_on_change : t -> (t -> unit) -> unit
 
 val enroll : t -> Pid.t -> unit
 (** Request admission of a client (callable on any server; routed to the

@@ -16,12 +16,6 @@ let op_equal a b =
   | Add p, Add q | Remove p, Remove q -> Pid.equal p q
   | Add _, Remove _ | Remove _, Add _ -> false
 
-let op_compare a b =
-  match (a, b) with
-  | Add p, Add q | Remove p, Remove q -> Pid.compare p q
-  | Add _, Remove _ -> -1
-  | Remove _, Add _ -> 1
-
 let pp_op ppf = function
   | Add p -> Fmt.pf ppf "add(%a)" Pid.pp p
   | Remove p -> Fmt.pf ppf "remove(%a)" Pid.pp p
@@ -30,8 +24,6 @@ let pp_op ppf = function
    first x operations to the initial group; GMP-3 makes all processes' seqs
    prefixes of one canonical sequence. *)
 type seq = op list
-
-let seq_equal a b = List.length a = List.length b && List.for_all2 op_equal a b
 
 let is_prefix ~prefix full =
   let rec go p f =

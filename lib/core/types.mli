@@ -11,7 +11,6 @@ type op = Add of Pid.t | Remove of Pid.t
 val op_target : op -> Pid.t
 val is_remove : op -> bool
 val op_equal : op -> op -> bool
-val op_compare : op -> op -> int
 val pp_op : op Fmt.t
 
 type seq = op list
@@ -19,7 +18,6 @@ type seq = op list
     the first [x] operations to the initial group. GMP-3 makes every
     process's seq a prefix of one canonical sequence. *)
 
-val seq_equal : seq -> seq -> bool
 val is_prefix : prefix:seq -> seq -> bool
 val seq_drop : int -> seq -> seq
 val pp_seq : seq Fmt.t

@@ -75,20 +75,6 @@ type t = {
   log : string -> unit;
 }
 
-(* Canonical metric names — the one vocabulary shared by the registry,
-   the JSONL summary lines and the orchestrator's reports. *)
-let counters t =
-  List.map
-    (fun k -> (k, Obs.counter_value (Obs.counter t.registry k)))
-    [ "arq.data_frames_sent"; "arq.retransmits"; "arq.retransmit_rounds";
-      "arq.dups_suppressed"; "arq.out_of_window_drops"; "netem.dropped";
-      "netem.duplicated"; "netem.reordered" ]
-
-let transport_counters t =
-  List.map
-    (fun (k, v) -> ("transport." ^ k, v))
-    (t.transport.Transport.counters ())
-
 let default_rto = 0.25
 let default_rto_max_factor = 16.0
 
@@ -107,7 +93,7 @@ let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
     !last_now
   in
   let transport =
-    Transport.make ?tcp_config ~kind:transport ~bind ~now ~log ()
+    Transport.make ?tcp_config ~kind:transport ~registry ~bind ~now ~log ()
   in
   let t =
     { pid;
@@ -124,7 +110,7 @@ let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
       stopping = false;
       receiver = (fun ~src:_ _ -> ());
       last_now;
-      stats = Stats.create ();
+      stats = Stats.create registry;
       netem_default = netem;
       netem_overrides = Pid.Tbl.create 4;
       netem_seed;
@@ -136,10 +122,6 @@ let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
       netem_reordered = Obs.counter registry "netem.reordered";
       log }
   in
-  (* The transport's counters ride along as a snapshot view; their keys
-     are already canonical, so the empty prefix passes them through. *)
-  Obs.register_views registry ~prefix:"" (fun () -> transport_counters t);
-  Stats.register_views t.stats registry;
   List.iter (fun (p, ep) -> t.transport.Transport.add_peer p ep) peers;
   t
 

@@ -36,8 +36,7 @@ val create :
     port; read it back with {!port} or {!endpoint}). [peers] seeds the
     address book; routes to unknown peers are also learnt from their
     traffic, so a joiner only needs its contacts. [rto] is the ARQ's
-    initial retransmission timeout (default 0.25 s; per-member overrides
-    come from [Config.arq_rto_for] at daemon level); on each silent
+    initial retransmission timeout (default 0.25 s); on each silent
     retransmit round it doubles up to [rto_max] (default [16 *. rto]) and
     resets on ack progress. [netem] is the default model applied to every
     incoming link (default {!Gmp_net.Netem.none}); [netem_seed] keys the
@@ -82,28 +81,21 @@ val idle : t -> bool
 (** No frame is awaiting an ack on any outgoing channel — everything sent
     so far is known delivered. *)
 
-val counters : t -> (string * int) list
-(** ARQ and fault-injection counters, read from {!registry} under their
-    canonical names, in a stable order: [arq.data_frames_sent] (first
-    transmissions), [arq.retransmits], [arq.retransmit_rounds]
-    (retransmit-timer fires), [arq.dups_suppressed],
-    [arq.out_of_window_drops], [netem.dropped], [netem.duplicated],
-    [netem.reordered]. *)
-
 val transport_kind : t -> string
 (** ["udp"] or ["tcp"]. *)
 
-val transport_counters : t -> (string * int) list
-(** The transport's own counters (datagrams or connections/frames),
-    each under its canonical [transport.]-prefixed registry name,
-    reported alongside {!counters} in the JSONL summary. *)
-
 val registry : t -> Gmp_obs.Obs.registry
-(** The node's metrics registry: the {!counters} and the ARQ's [arq.rtt]
-    (wall-clock ack round-trips of never-retransmitted frames — Karn's
-    sampling rule) and [arq.backoff_rounds] (retransmit rounds per
-    recovered quiet spell) histograms, plus {!transport_counters} and the
-    per-category {!stats} table as snapshot views. *)
+(** The node's metrics registry, where every one of its counters lives:
+    the ARQ's [arq.data_frames_sent] (first transmissions),
+    [arq.retransmits], [arq.retransmit_rounds] (retransmit-timer fires),
+    [arq.dups_suppressed] and [arq.out_of_window_drops]; fault
+    injection's [netem.dropped], [netem.duplicated] and
+    [netem.reordered]; the transport's [transport.*] counters
+    ({!Transport.make}); and the per-category {!stats} table's [msg.*]
+    counters. Beside them, the ARQ's [arq.rtt] (wall-clock ack
+    round-trips of never-retransmitted frames — Karn's sampling rule) and
+    [arq.backoff_rounds] (retransmit rounds per recovered quiet spell)
+    histograms. *)
 
 val metrics : t -> Gmp_obs.Obs.Snapshot.t
 (** [Obs.snapshot (registry t)] — also what a [Get_metrics] control frame

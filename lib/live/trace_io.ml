@@ -36,42 +36,24 @@ let attach trace ~path =
       end);
   w
 
-(* Summary lines are JSON objects without an "event" member, written at
-   clean shutdown. They are not trace events - the reader skips anything
+(* Metrics lines are summary lines: JSON objects without an "event"
+   member. They are not trace events - the reader skips anything
    event-less when reassembling, so new summary kinds can appear without
-   breaking old readers - and a SIGKILLed node simply has none, which the
-   harvest treats as "no summary". *)
+   breaking old readers. Periodic lines and the shutdown line share one
+   shape; [read_metrics] takes the last one (most complete), and a
+   SIGKILLed node without periodic lines simply has none. *)
 
-let write_summary w fields =
+let write_metrics w ~pid ~at snapshot =
   if not w.closed then begin
-    output_string w.oc (J.to_compact_string (J.obj fields));
+    output_string w.oc
+      (J.to_compact_string
+         (J.obj
+            [ ("metrics", J.string (Pid.to_string pid));
+              ("at", J.float at);
+              ("snapshot", Gmp_obs.Obs.Snapshot.to_json snapshot) ]));
     output_char w.oc '\n';
     flush w.oc
   end
-
-let counters_json counters =
-  J.obj (List.map (fun (k, v) -> (k, J.int v)) counters)
-
-let write_arq w ~pid counters =
-  (* ARQ and fault-injection counters. [read_arq] extracts this line. *)
-  write_summary w
-    [ ("arq", J.string (Pid.to_string pid)); ("counters", counters_json counters) ]
-
-let write_transport w ~pid ~kind counters =
-  (* The transport's own counters (datagrams or connections/frames);
-     [read_transport] extracts this line. *)
-  write_summary w
-    [ ("transport", J.string (Pid.to_string pid));
-      ("kind", J.string kind);
-      ("counters", counters_json counters) ]
-
-let write_metrics w ~pid ~at snapshot =
-  (* A full registry snapshot. Periodic lines and the shutdown line share
-     this shape; [read_metrics] takes the last one (most complete). *)
-  write_summary w
-    [ ("metrics", J.string (Pid.to_string pid));
-      ("at", J.float at);
-      ("snapshot", Gmp_obs.Obs.Snapshot.to_json snapshot) ]
 
 let close w =
   if not w.closed then begin
@@ -268,9 +250,9 @@ let read_file path =
   in
   go 0 [] lines
 
-(* A counters summary of one node's log, if it shut down cleanly enough
-   to write one. Unreadable files and torn lines read as "no summary".
-   [extract] judges each parsed line; the last match wins. *)
+(* A summary of one node's log, if it wrote one. Unreadable files and
+   torn lines read as "no summary". [extract] judges each parsed line;
+   the last match wins. *)
 let scan_summary path extract =
   match
     let ic = open_in path in
@@ -287,25 +269,6 @@ let scan_summary path extract =
   with
   | exception Sys_error _ -> None
   | r -> r
-
-let counters_of_json j =
-  Option.map
-    (List.filter_map (fun (k, v) ->
-         Option.map (fun n -> (k, n)) (J.to_int_opt v)))
-    (Option.bind (J.member "counters" j) J.to_obj_opt)
-
-let read_arq path =
-  scan_summary path (fun j ->
-      if J.member "arq" j <> None then counters_of_json j else None)
-
-let read_transport path =
-  scan_summary path (fun j ->
-      match
-        (J.member "transport" j, Option.bind (J.member "kind" j) J.to_string_opt)
-      with
-      | Some _, Some kind ->
-        Option.map (fun cs -> (kind, cs)) (counters_of_json j)
-      | _ -> None)
 
 let read_metrics path =
   Option.bind

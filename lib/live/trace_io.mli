@@ -14,17 +14,6 @@ val attach : Trace.t -> path:string -> writer
 (** Install an observer (via {!Trace.set_on_record}) writing each event of
     [trace] to [path] as one flushed JSON line. *)
 
-val write_arq : writer -> pid:Gmp_base.Pid.t -> (string * int) list -> unit
-(** Append the node's ARQ / fault-injection counters (from
-    [Node.counters]) as one summary line. Written at clean shutdown;
-    {!read_file} skips it, {!read_arq} extracts it. *)
-
-val write_transport :
-  writer -> pid:Gmp_base.Pid.t -> kind:string -> (string * int) list -> unit
-(** Append the node's transport counters (from [Node.transport_counters])
-    as one summary line tagged with the transport kind. Written at clean
-    shutdown; {!read_file} skips it, {!read_transport} extracts it. *)
-
 val write_metrics :
   writer ->
   pid:Gmp_base.Pid.t ->
@@ -45,16 +34,6 @@ val read_file : string -> (Trace.event list, string) result
     parsed object without an ["event"] member, including kinds this
     reader has never heard of — are skipped, so logs written by newer
     nodes still reassemble. *)
-
-val read_arq : string -> (string * int) list option
-(** The ARQ counters summary of one node's log, if present (a SIGKILLed
-    node writes none), under the keys the writer used — the registry's
-    [arq.*] / [netem.*] names for every current node. *)
-
-val read_transport : string -> (string * (string * int) list) option
-(** The transport summary of one node's log, if present:
-    [(kind, counters)], keys as written ([transport.*] for every current
-    node). *)
 
 val read_metrics : string -> Gmp_obs.Obs.Snapshot.t option
 (** The last metrics snapshot line of one node's log, if any parses (a

@@ -34,6 +34,7 @@
 
 open Gmp_base
 module Endpoint = Gmp_net.Endpoint
+module Obs = Gmp_obs.Obs
 
 type origin = {
   reply : string -> unit;
@@ -54,18 +55,12 @@ type t = {
   next_deadline : unit -> float option;
   tick : now:float -> unit;
   drain : (origin:origin -> string -> unit) -> unit;
-  counters : unit -> (string * int) list;
   close : unit -> unit;
 }
 
 type kind = Udp | Tcp
 
 let kind_name = function Udp -> "udp" | Tcp -> "tcp"
-
-let kind_of_string = function
-  | "udp" -> Some Udp
-  | "tcp" -> Some Tcp
-  | _ -> None
 
 (* ---- name resolution ---- *)
 
@@ -90,25 +85,30 @@ let bound_endpoint sock ~bind =
 
 (* ---- UDP ---- *)
 
+(* Every counter lives in the node's registry as [transport.<name>],
+   created up front so a fresh transport reports all of them at 0. *)
+let counter registry name = Obs.counter registry ("transport." ^ name)
+
 type udp_counters = {
-  mutable datagrams_sent : int;
-  mutable datagrams_received : int;
-  mutable send_errors : int; (* sendto failures swallowed (look like loss) *)
-  mutable no_route_drops : int; (* sends toward a pid with no address *)
+  datagrams_sent : Obs.counter;
+  datagrams_received : Obs.counter;
+  send_errors : Obs.counter; (* sendto failures swallowed (look like loss) *)
+  no_route_drops : Obs.counter; (* sends toward a pid with no address *)
 }
 
-let udp ~bind ~log () =
+let udp ~registry ~bind ~log () =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (resolve bind);
   Unix.set_nonblock sock;
   let bound = bound_endpoint sock ~bind in
   let peers : Unix.sockaddr Pid.Tbl.t = Pid.Tbl.create 16 in
+  let counter = counter registry in
   let ctr =
-    { datagrams_sent = 0;
-      datagrams_received = 0;
-      send_errors = 0;
-      no_route_drops = 0 }
+    { datagrams_sent = counter "datagrams_sent";
+      datagrams_received = counter "datagrams_received";
+      send_errors = counter "send_errors";
+      no_route_drops = counter "no_route_drops" }
   in
   let buf = Bytes.create (Codec.max_frame + 64) in
   let sendto_addr addr bytes =
@@ -117,18 +117,18 @@ let udp ~bind ~log () =
         (Unix.sendto sock (Bytes.of_string bytes) 0 (String.length bytes) []
            addr
           : int);
-      ctr.datagrams_sent <- ctr.datagrams_sent + 1
+      Obs.inc ctr.datagrams_sent
     with
     | Unix.Unix_error
         ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNREFUSED), _, _) ->
       (* A full buffer or a dead peer's closed port: both look like loss
          to the ARQ, which is what retransmission exists for. *)
-      ctr.send_errors <- ctr.send_errors + 1
+      Obs.inc ctr.send_errors
   in
   let send ~dst bytes =
     match Pid.Tbl.find_opt peers dst with
     | None ->
-      ctr.no_route_drops <- ctr.no_route_drops + 1;
+      Obs.inc ctr.no_route_drops;
       log (Printf.sprintf "no address for %s" (Pid.to_string dst))
     | Some addr -> sendto_addr addr bytes
   in
@@ -142,7 +142,7 @@ let udp ~bind ~log () =
         (* Linux surfaces a previous send's ICMP port-unreachable here. *)
         go ()
       | n, sender_addr ->
-        ctr.datagrams_received <- ctr.datagrams_received + 1;
+        Obs.inc ctr.datagrams_received;
         let raw = Bytes.sub_string buf 0 n in
         let origin =
           { reply = (fun bytes -> sendto_addr sender_addr bytes);
@@ -168,12 +168,6 @@ let udp ~bind ~log () =
     next_deadline = (fun () -> None);
     tick = (fun ~now:_ -> ());
     drain;
-    counters =
-      (fun () ->
-        [ ("datagrams_sent", ctr.datagrams_sent);
-          ("datagrams_received", ctr.datagrams_received);
-          ("send_errors", ctr.send_errors);
-          ("no_route_drops", ctr.no_route_drops) ]);
     close = (fun () -> try Unix.close sock with Unix.Unix_error _ -> ()) }
 
 (* ---- TCP ---- *)
@@ -218,18 +212,18 @@ type route = {
 }
 
 type tcp_counters = {
-  mutable connects : int; (* connection attempts started *)
-  mutable reconnects : int; (* attempts beyond a peer's first *)
-  mutable accepts : int;
-  mutable conn_failures : int; (* died before establishing *)
-  mutable conn_drops : int; (* died after establishing *)
-  mutable half_open_drops : int; (* killed by the stalled-outbox check *)
-  mutable stream_desyncs : int; (* framing-poisoned connections *)
-  mutable frames_sent : int; (* frames fully written to the kernel *)
-  mutable frames_received : int;
-  mutable partial_reads : int; (* reads that ended inside a frame *)
-  mutable outbox_dropped : int; (* frames dropped by the outbox cap *)
-  mutable tcp_no_route_drops : int;
+  connects : Obs.counter; (* connection attempts started *)
+  reconnects : Obs.counter; (* attempts beyond a peer's first *)
+  accepts : Obs.counter;
+  conn_failures : Obs.counter; (* died before establishing *)
+  conn_drops : Obs.counter; (* died after establishing *)
+  half_open_drops : Obs.counter; (* killed by the stalled-outbox check *)
+  stream_desyncs : Obs.counter; (* framing-poisoned connections *)
+  frames_sent : Obs.counter; (* frames fully written to the kernel *)
+  frames_received : Obs.counter;
+  partial_reads : Obs.counter; (* reads that ended inside a frame *)
+  outbox_dropped : Obs.counter; (* frames dropped by the outbox cap *)
+  tcp_no_route_drops : Obs.counter;
 }
 
 type tcp_state = {
@@ -274,8 +268,8 @@ let kill_conn st conn ~failed ~reason =
     st.conns <- List.filter (fun c -> c != conn) st.conns;
     Queue.clear conn.outq;
     conn.out_bytes <- 0;
-    if failed then st.tctr.conn_failures <- st.tctr.conn_failures + 1
-    else st.tctr.conn_drops <- st.tctr.conn_drops + 1;
+    if failed then Obs.inc st.tctr.conn_failures
+    else Obs.inc st.tctr.conn_drops;
     st.tlog
       (Printf.sprintf "tcp: connection to %s lost (%s)"
          (describe_peer conn.peer) reason);
@@ -314,7 +308,7 @@ let flush st conn =
            if n = len then begin
              ignore (Queue.pop conn.outq : string);
              conn.out_off <- 0;
-             st.tctr.frames_sent <- st.tctr.frames_sent + 1
+             Obs.inc st.tctr.frames_sent
            end
            else begin
              conn.out_off <- conn.out_off + n;
@@ -338,7 +332,7 @@ let enqueue st conn bytes =
     if conn.out_bytes + String.length bytes > st.cfg.max_outbox then
       (* The ARQ above owns reliability; a stalled connection must not
          buffer unboundedly on its behalf. *)
-      st.tctr.outbox_dropped <- st.tctr.outbox_dropped + 1
+      Obs.inc st.tctr.outbox_dropped
     else begin
       Queue.add bytes conn.outq;
       conn.out_bytes <- conn.out_bytes + String.length bytes
@@ -353,8 +347,8 @@ let start_connect st pid r =
     let now = st.tnow () in
     if now >= r.next_attempt then begin
       r.attempts <- r.attempts + 1;
-      st.tctr.connects <- st.tctr.connects + 1;
-      if r.attempts > 1 then st.tctr.reconnects <- st.tctr.reconnects + 1;
+      Obs.inc st.tctr.connects;
+      if r.attempts > 1 then Obs.inc st.tctr.reconnects;
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.set_nonblock fd;
       set_sndbuf st.cfg fd;
@@ -388,7 +382,7 @@ let start_connect st pid r =
 let tcp_send st ~dst bytes =
   match Pid.Tbl.find_opt st.routes dst with
   | None ->
-    st.tctr.tcp_no_route_drops <- st.tctr.tcp_no_route_drops + 1;
+    Obs.inc st.tctr.tcp_no_route_drops;
     st.tlog (Printf.sprintf "no route to %s" (Pid.to_string dst))
   | Some r -> (
     match r.conn with
@@ -403,7 +397,7 @@ let tcp_send st ~dst bytes =
       | Some conn -> enqueue st conn bytes
       | None ->
         if r.ep = None then begin
-          st.tctr.tcp_no_route_drops <- st.tctr.tcp_no_route_drops + 1;
+          Obs.inc st.tctr.tcp_no_route_drops;
           st.tlog (Printf.sprintf "no endpoint for %s" (Pid.to_string dst))
         end))
 
@@ -452,7 +446,7 @@ let tcp_tick st ~now =
                without a FIN/RST (or stopped reading). Kernel-level TCP
                would keep trying for minutes; the failure detector above
                cannot wait that long. *)
-            st.tctr.half_open_drops <- st.tctr.half_open_drops + 1;
+            Obs.inc st.tctr.half_open_drops;
             kill_conn st conn ~failed:false ~reason:"half-open (outbox stalled)"
           end)
     (* kill_conn replaces st.conns with a fresh list, so iterating the
@@ -483,7 +477,7 @@ let accept_loop st =
       set_sndbuf st.cfg fd;
       (try Unix.setsockopt fd Unix.TCP_NODELAY true
        with Unix.Unix_error _ | Invalid_argument _ -> ());
-      st.tctr.accepts <- st.tctr.accepts + 1;
+      Obs.inc st.tctr.accepts;
       let conn =
         { fd;
           state = Established;
@@ -536,16 +530,16 @@ let read_conn st conn handle =
         match Framing.feed conn.decoder st.read_buf ~off:0 ~len:n with
         | Ok frames ->
           if Framing.pending conn.decoder > 0 then
-            st.tctr.partial_reads <- st.tctr.partial_reads + 1;
+            Obs.inc st.tctr.partial_reads;
           List.iter
             (fun raw ->
-              st.tctr.frames_received <- st.tctr.frames_received + 1;
+              Obs.inc st.tctr.frames_received;
               handle ~origin raw)
             frames;
           go ()
         | Error e ->
           (* Stream desync: no way to find the next boundary. *)
-          st.tctr.stream_desyncs <- st.tctr.stream_desyncs + 1;
+          Obs.inc st.tctr.stream_desyncs;
           kill_conn st conn ~failed:false
             ~reason:(Fmt.str "stream desync: %a" Codec.pp_error e))
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -565,7 +559,7 @@ let tcp_drain st handle =
         read_conn st conn handle)
     st.conns
 
-let tcp ~cfg ~bind ~now ~log () =
+let tcp ~registry ~cfg ~bind ~now ~log () =
   (* EPIPE must surface as a Unix_error on write, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
@@ -574,6 +568,7 @@ let tcp ~cfg ~bind ~now ~log () =
   Unix.bind listener (resolve bind);
   Unix.listen listener 64;
   Unix.set_nonblock listener;
+  let counter = counter registry in
   let st =
     { listener;
       tcp_bound = bound_endpoint listener ~bind;
@@ -581,18 +576,18 @@ let tcp ~cfg ~bind ~now ~log () =
       conns = [];
       cfg;
       tctr =
-        { connects = 0;
-          reconnects = 0;
-          accepts = 0;
-          conn_failures = 0;
-          conn_drops = 0;
-          half_open_drops = 0;
-          stream_desyncs = 0;
-          frames_sent = 0;
-          frames_received = 0;
-          partial_reads = 0;
-          outbox_dropped = 0;
-          tcp_no_route_drops = 0 };
+        { connects = counter "connects";
+          reconnects = counter "reconnects";
+          accepts = counter "accepts";
+          conn_failures = counter "conn_failures";
+          conn_drops = counter "conn_drops";
+          half_open_drops = counter "half_open_drops";
+          stream_desyncs = counter "stream_desyncs";
+          frames_sent = counter "frames_sent";
+          frames_received = counter "frames_received";
+          partial_reads = counter "partial_reads";
+          outbox_dropped = counter "outbox_dropped";
+          tcp_no_route_drops = counter "no_route_drops" };
       tlog = log;
       tnow = now;
       read_buf = Bytes.create 65536 }
@@ -627,20 +622,6 @@ let tcp ~cfg ~bind ~now ~log () =
     next_deadline = (fun () -> tcp_next_deadline st);
     tick = (fun ~now -> tcp_tick st ~now);
     drain = (fun handle -> tcp_drain st handle);
-    counters =
-      (fun () ->
-        [ ("connects", st.tctr.connects);
-          ("reconnects", st.tctr.reconnects);
-          ("accepts", st.tctr.accepts);
-          ("conn_failures", st.tctr.conn_failures);
-          ("conn_drops", st.tctr.conn_drops);
-          ("half_open_drops", st.tctr.half_open_drops);
-          ("stream_desyncs", st.tctr.stream_desyncs);
-          ("frames_sent", st.tctr.frames_sent);
-          ("frames_received", st.tctr.frames_received);
-          ("partial_reads", st.tctr.partial_reads);
-          ("outbox_dropped", st.tctr.outbox_dropped);
-          ("no_route_drops", st.tctr.tcp_no_route_drops) ]);
     close =
       (fun () ->
         (* Best-effort final flush, then release everything. *)
@@ -653,7 +634,7 @@ let tcp ~cfg ~bind ~now ~log () =
         st.conns <- [];
         try Unix.close st.listener with Unix.Unix_error _ -> ()) }
 
-let make ?(tcp_config = default_tcp) ~kind ~bind ~now ~log () =
+let make ?(tcp_config = default_tcp) ~kind ~registry ~bind ~now ~log () =
   match kind with
-  | Udp -> udp ~bind ~log ()
-  | Tcp -> tcp ~cfg:tcp_config ~bind ~now ~log ()
+  | Udp -> udp ~registry ~bind ~log ()
+  | Tcp -> tcp ~registry ~cfg:tcp_config ~bind ~now ~log ()

@@ -24,7 +24,7 @@ type origin = {
 }
 
 type t = {
-  kind : string;  (** ["udp"] or ["tcp"], for logs and summaries *)
+  kind : string;  (** ["udp"] or ["tcp"], for logs *)
   endpoint : unit -> Endpoint.t;
       (** the actually-bound local endpoint (ephemeral port resolved) *)
   send : dst:Pid.t -> string -> unit;
@@ -45,16 +45,12 @@ type t = {
   drain : (origin:origin -> string -> unit) -> unit;
       (** Deliver every readable complete frame to the callback. Never
           blocks; partial TCP frames stay buffered until a later drain. *)
-  counters : unit -> (string * int) list;
-      (** transport-specific counters for the JSONL summary and the
-          cluster report *)
   close : unit -> unit;
 }
 
 type kind = Udp | Tcp
 
 val kind_name : kind -> string
-val kind_of_string : string -> kind option
 
 type tcp_config = {
   connect_timeout : float;
@@ -81,13 +77,20 @@ val resolve : Endpoint.t -> Unix.sockaddr
 val make :
   ?tcp_config:tcp_config ->
   kind:kind ->
+  registry:Gmp_obs.Obs.registry ->
   bind:Endpoint.t ->
   now:(unit -> float) ->
   log:(string -> unit) ->
   unit ->
   t
 (** Bind a transport on [bind] (port 0 = ephemeral; read back via
-    [endpoint]). [now] is the node's clock - connection management uses
+    [endpoint]). The transport's counters live in [registry] as
+    [transport.<name>], all created at 0 here: [datagrams_sent],
+    [datagrams_received], [send_errors] and [no_route_drops] over UDP;
+    [connects], [reconnects], [accepts], [conn_failures], [conn_drops],
+    [half_open_drops], [stream_desyncs], [frames_sent],
+    [frames_received], [partial_reads], [outbox_dropped] and
+    [no_route_drops] over TCP. [now] is the node's clock - connection management uses
     it so tests can observe deadlines consistently; [log] receives
     human-oriented transport events. Constructing a TCP transport
     ignores [SIGPIPE] process-wide (a write to a dead stream must be a

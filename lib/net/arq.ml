@@ -260,7 +260,5 @@ let create ?(loss = 0.2) ?(duplicate = 0.05) ?(rto = 5.0) ?(fifo = true)
       receivers = Hashtbl.create 32;
       handler = (fun ~dst:_ ~src:_ _ -> failwith "Arq: no handler") }
   in
-  Obs.register_view registry "arq.datagrams_sent" (fun () -> datagrams_sent t);
-  Obs.register_view registry "arq.datagrams_lost" (fun () -> datagrams_lost t);
   Lossy.set_handler lossy (fun ~dst ~src f -> handle_frame t ~dst ~src f);
   t

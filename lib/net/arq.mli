@@ -119,8 +119,7 @@ val create :
     duplication, retransmit every 5 time units.
 
     With [registry], the {!Machine.config} metrics (virtual-clock
-    [arq.rtt] included) land there, next to the medium's
-    [arq.datagrams_sent] and [arq.datagrams_lost] snapshot views. *)
+    [arq.rtt] included) land there. *)
 
 val set_handler : 'm t -> (dst:Pid.t -> src:Pid.t -> 'm -> unit) -> unit
 (** Upper-layer delivery: exactly once, per-channel FIFO. *)

@@ -26,7 +26,6 @@ type 'm t = {
   mutable handler : dst:Pid.t -> src:Pid.t -> 'm -> unit;
   mutable sent : int;
   mutable lost : int;
-  mutable duplicated : int;
   mutable reordered : int;
 }
 
@@ -39,7 +38,6 @@ let of_model ?(fifo = true) ~engine ~rng model =
     handler = (fun ~dst:_ ~src:_ _ -> failwith "Lossy: no handler");
     sent = 0;
     lost = 0;
-    duplicated = 0;
     reordered = 0 }
 
 let create ?(loss = 0.0) ?(duplicate = 0.0) ?(reorder = 0.0) ?(fifo = true)
@@ -51,7 +49,6 @@ let set_handler t handler = t.handler <- handler
 let model t = t.model
 let datagrams_sent t = t.sent
 let datagrams_lost t = t.lost
-let datagrams_duplicated t = t.duplicated
 let datagrams_reordered t = t.reordered
 
 let deliver_copy t ~src ~dst ~delay ~held payload =
@@ -87,6 +84,4 @@ let send t ~src ~dst payload =
     deliver_copy t ~src ~dst ~delay ~held payload;
     (match dup_delay with
     | None -> ()
-    | Some d ->
-      t.duplicated <- t.duplicated + 1;
-      deliver_copy t ~src ~dst ~delay:d ~held:false payload)
+    | Some d -> deliver_copy t ~src ~dst ~delay:d ~held:false payload)

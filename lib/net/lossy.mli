@@ -41,5 +41,4 @@ val send : 'm t -> src:Pid.t -> dst:Pid.t -> 'm -> unit
 val model : 'm t -> Netem.t
 val datagrams_sent : 'm t -> int
 val datagrams_lost : 'm t -> int
-val datagrams_duplicated : 'm t -> int
 val datagrams_reordered : 'm t -> int

@@ -23,7 +23,7 @@ open Gmp_base
 type 'm t = {
   engine : Gmp_sim.Engine.t;
   rng : Gmp_sim.Rng.t;
-  mutable delay : Delay.t;
+  delay : Delay.t;
   stats : Stats.t;
   fifo_epsilon : float;
   (* Pid interning: pid -> dense slot in the arrays below. *)
@@ -83,7 +83,7 @@ let create ?(fifo_epsilon = 1e-6) ~engine ~rng ~delay () =
   { engine;
     rng;
     delay;
-    stats = Stats.create ();
+    stats = Stats.create (Gmp_obs.Obs.create ());
     fifo_epsilon;
     pid_slots = Pid.Tbl.create 64;
     pids = Array.make initial_cap (Pid.make 0);
@@ -158,7 +158,6 @@ let channel t ~src ~dst =
 
 let set_handler t handler = t.handler <- handler
 let set_monitor t monitor = t.monitor <- Some monitor
-let set_delay t delay = t.delay <- delay
 
 let stats t = t.stats
 let engine t = t.engine
@@ -313,7 +312,6 @@ let decode_chan t tag =
 
 type 'm checkpoint = {
   cp_rng : Gmp_sim.Rng.checkpoint;
-  cp_delay : Delay.t;
   cp_stats : Stats.checkpoint;
   cp_npids : int;
   cp_channels : ('m channel * float * 'm parked_msg array) list;
@@ -335,7 +333,6 @@ let checkpoint t =
     done
   done;
   { cp_rng = Gmp_sim.Rng.checkpoint t.rng;
-    cp_delay = t.delay;
     cp_stats = Stats.checkpoint t.stats;
     cp_npids = t.npids;
     cp_channels = !channels;
@@ -345,7 +342,6 @@ let checkpoint t =
 
 let restore t cp =
   Gmp_sim.Rng.restore t.rng cp.cp_rng;
-  t.delay <- cp.cp_delay;
   Stats.restore t.stats cp.cp_stats;
   t.partition <- cp.cp_partition;
   (* Forget pids interned after the capture, so a restored run re-interns

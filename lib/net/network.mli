@@ -33,8 +33,6 @@ val set_handler : 'm t -> (dst:Pid.t -> src:Pid.t -> 'm -> unit) -> unit
 val set_monitor : 'm t -> ('m send_record -> unit) -> unit
 (** Observe every send (for tracing); does not affect delivery. *)
 
-val set_delay : 'm t -> Delay.t -> unit
-
 val send :
   ?extra_delay:float ->
   'm t ->
@@ -88,7 +86,7 @@ val engine : 'm t -> Gmp_sim.Engine.t
 type 'm checkpoint
 (** Capture of the network's mutable state: pid interning cursor, per-channel
     FIFO cursors and parked queues, crash/disconnect flags, partition map,
-    delay model, message counters and the network's RNG stream. Restoring
+    message counters and the network's RNG stream. Restoring
     rewrites the {e same} channel records in place (in-flight delivery
     closures hold them by reference) and un-interns pids first seen after the
     capture. The engine itself is not included — checkpoint it separately. *)

@@ -4,9 +4,7 @@
    binary search over a dozen fixed edges); snapshots are immutable sorted
    assoc lists, which makes determinism (sort by name, serialize floats
    through Json's shortest-round-trip printer) and merging (zip two sorted
-   lists) trivial. Views keep pre-existing counter families -
-   Transport.counters, Stats categories - out of the registry's write path
-   entirely: they are closures read once per snapshot. *)
+   lists) trivial. *)
 
 open Gmp_base
 module J = Json
@@ -19,16 +17,13 @@ type hist = {
 
 type cell = C of int ref | G of float ref | H of hist
 
-type registry = {
-  cells : (string, cell) Hashtbl.t;
-  mutable views : (string * (unit -> (string * int) list)) list;
-}
+type registry = { cells : (string, cell) Hashtbl.t }
 
 type counter = int ref
 type gauge = float ref
 type histogram = hist
 
-let create () = { cells = Hashtbl.create 32; views = [] }
+let create () = { cells = Hashtbl.create 32 }
 
 let latency_buckets =
   [| 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0;
@@ -114,13 +109,6 @@ let observe h v =
   let i = bucket_of h.edges v in
   h.counts.(i) <- h.counts.(i) + 1;
   h.sum <- h.sum +. v
-
-let register_view r name read =
-  r.views <- r.views @ [ (name, fun () -> [ (name, read ()) ]) ]
-
-let register_views r ~prefix read =
-  let rename (k, v) = ((if prefix = "" then k else prefix ^ "." ^ k), v) in
-  r.views <- r.views @ [ (prefix, fun () -> List.map rename (read ())) ]
 
 module Snapshot = struct
   type histogram_data = {
@@ -296,35 +284,18 @@ module Snapshot = struct
 end
 
 let snapshot r =
-  let add acc name m =
-    match List.assoc_opt name acc with
-    | None -> (name, m) :: acc
-    | Some prev ->
-      (name, Snapshot.merge_metric name prev m)
-      :: List.remove_assoc name acc
-  in
-  let acc =
-    Hashtbl.fold
-      (fun name cell acc ->
-        let m =
-          match cell with
-          | C c -> Snapshot.Counter !c
-          | G g -> Snapshot.Gauge !g
-          | H h ->
-            Snapshot.Histogram
-              { Snapshot.edges = Array.copy h.edges;
-                counts = Array.copy h.counts;
-                sum = h.sum }
-        in
-        add acc name m)
-      r.cells []
-  in
-  let acc =
-    List.fold_left
-      (fun acc (_, read) ->
-        List.fold_left
-          (fun acc (k, v) -> add acc k (Snapshot.Counter v))
-          acc (read ()))
-      acc r.views
-  in
-  List.sort (fun (a, _) (b, _) -> String.compare a b) acc
+  Hashtbl.fold
+    (fun name cell acc ->
+      let m =
+        match cell with
+        | C c -> Snapshot.Counter !c
+        | G g -> Snapshot.Gauge !g
+        | H h ->
+          Snapshot.Histogram
+            { Snapshot.edges = Array.copy h.edges;
+              counts = Array.copy h.counts;
+              sum = h.sum }
+      in
+      (name, m) :: acc)
+    r.cells []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -4,9 +4,9 @@
     A registry holds named counters, gauges and fixed-bucket histograms.
     Recording is O(1) (an increment, or a binary search over a constant
     bucket layout) and allocation-free, so instruments can sit on hot
-    paths in both worlds. Existing ad-hoc counters plug in as {e views}:
-    closures polled only at snapshot time, so their hot paths stay
-    untouched.
+    paths in both worlds. It is the one place a counter's value lives:
+    the per-category message tallies ([msg.*]) and the live transport
+    counters ([transport.*]) are plain counters here like any other.
 
     Everything observable funnels through {!snapshot}: an immutable,
     name-sorted capture that serializes to JSON deterministically (same
@@ -54,17 +54,6 @@ val latency_buckets : float array
 
 val round_buckets : float array
 (** Small-integer edges (1..64) for per-burst retransmit-round depths. *)
-
-val register_view : registry -> string -> (unit -> int) -> unit
-(** Expose an externally-maintained counter under a stable name; the
-    closure is polled at {!snapshot} time only. *)
-
-val register_views :
-  registry -> prefix:string -> (unit -> (string * int) list) -> unit
-(** List-valued view for counter families whose keys are only known at
-    runtime; each key [k] appears as [prefix ^ "." ^ k] ([k] alone when
-    [prefix] is [""]). A view key colliding with a registered counter
-    sums with it in the snapshot. *)
 
 module Snapshot : sig
   type histogram_data = {

@@ -20,8 +20,6 @@ open Gmp_causality
 
 type timer = { cancel : unit -> unit }
 
-let no_timer = { cancel = (fun () -> ()) }
-
 type 'm node = {
   pid : Pid.t;
   alive : unit -> bool;  (* false once crashed / halted *)
@@ -48,5 +46,3 @@ type 'm node = {
       (* periodic timer; stops when the node dies *)
   log : string -> unit;  (* local diagnostic log (not part of the trace) *)
 }
-
-let pp_node ppf n = Fmt.pf ppf "node(%a)" Pid.pp n.pid

@@ -21,9 +21,6 @@ open Gmp_causality
 type timer = { cancel : unit -> unit }
 (** Cancelling an already-fired or already-cancelled timer is a no-op. *)
 
-val no_timer : timer
-(** An inert timer (for initializing mutable slots). *)
-
 type 'm node = {
   pid : Pid.t;
   alive : unit -> bool;
@@ -39,5 +36,3 @@ type 'm node = {
   every : interval:float -> (unit -> unit) -> unit;
   log : string -> unit;
 }
-
-val pp_node : 'm node Fmt.t

@@ -2,10 +2,14 @@
    protocol messages and ignores the detection mechanism, so categories let
    benches exclude heartbeats from the tallies.
 
-   Categories are interned once into small dense ids in a global registry;
-   the per-message [record_*] path is then a single array increment — no
-   string hashing, no allocation. Strings reappear only in the query/report
-   API, which resolves them through the registry. *)
+   The tallies themselves are counters in an Obs registry. Categories are
+   interned once into small dense ids in a global registry, and each table
+   keeps its counters in a dense array by id, so the per-message [record_*]
+   path is one array index plus one increment — no string hashing, no
+   allocation. Strings reappear only in the query/report API, which
+   resolves them through the category registry. *)
+
+module Obs = Gmp_obs.Obs
 
 type category = int
 
@@ -58,118 +62,110 @@ let name (id : category) =
     invalid_arg "Stats.name: unknown category id";
   !cat_names.(id)
 
-(* ---- counters: one int slot per interned category ---- *)
+(* ---- tallies: three Obs counters per interned category ----
 
-type t = {
-  mutable sent : int array;
-  mutable delivered : int array;
-  mutable dropped : int array; (* dst crashed, disconnected (S1), … *)
-}
+   Slot [3 * id + k] holds category [id]'s sent (k = 0), delivered (1) or
+   dropped (2) counter, named [msg.<category>.sent] / [.delivered] /
+   [.dropped]. A category's three counters are created together at its
+   first record, so the registry lists exactly the categories that have
+   recorded something. Until then its slots hold [absent], a counter that
+   belongs to no registry and is never incremented. *)
 
-let create () = { sent = [||]; delivered = [||]; dropped = [||] }
+type t = { registry : Obs.registry; mutable cells : Obs.counter array }
 
-let grown arr id =
-  let cap = max 16 (max (2 * Array.length arr) (id + 1)) in
-  let bigger = Array.make cap 0 in
-  Array.blit arr 0 bigger 0 (Array.length arr);
-  bigger
+let absent = Obs.counter (Obs.create ()) "absent"
 
-let record_sent t ~category:id =
-  if id >= Array.length t.sent then t.sent <- grown t.sent id;
-  t.sent.(id) <- t.sent.(id) + 1
+let create registry = { registry; cells = [||] }
+let registry t = t.registry
 
-let record_delivered t ~category:id =
-  if id >= Array.length t.delivered then t.delivered <- grown t.delivered id;
-  t.delivered.(id) <- t.delivered.(id) + 1
+(* Create [id]'s three counters and return the one in slot [k]. *)
+let add t id k =
+  let need = 3 * (id + 1) in
+  if need > Array.length t.cells then begin
+    let cap = max 48 (max (2 * Array.length t.cells) need) in
+    let bigger = Array.make cap absent in
+    Array.blit t.cells 0 bigger 0 (Array.length t.cells);
+    t.cells <- bigger
+  end;
+  let prefix = "msg." ^ name id ^ "." in
+  List.iteri
+    (fun j suffix ->
+      t.cells.((3 * id) + j) <- Obs.counter t.registry (prefix ^ suffix))
+    [ "sent"; "delivered"; "dropped" ];
+  t.cells.((3 * id) + k)
 
-let record_dropped t ~category:id =
-  if id >= Array.length t.dropped then t.dropped <- grown t.dropped id;
-  t.dropped.(id) <- t.dropped.(id) + 1
+let record t id k =
+  let i = (3 * id) + k in
+  let c = if i < Array.length t.cells then t.cells.(i) else absent in
+  Obs.inc (if c == absent then add t id k else c)
 
-let get arr category =
+let record_sent t ~category = record t category 0
+let record_delivered t ~category = record t category 1
+let record_dropped t ~category = record t category 2
+
+let value t id k =
+  let i = (3 * id) + k in
+  if i < Array.length t.cells then Obs.counter_value t.cells.(i) else 0
+
+let get t category k =
   match Hashtbl.find_opt cat_index category with
   | None -> 0
-  | Some id -> if id < Array.length arr then arr.(id) else 0
+  | Some id -> value t id k
 
-let sent t ~category = get t.sent category
-let delivered t ~category = get t.delivered category
-let dropped t ~category = get t.dropped category
+let sent t ~category = get t category 0
+let delivered t ~category = get t category 1
+let dropped t ~category = get t category 2
 
-let sum arr = Array.fold_left ( + ) 0 arr
+(* The ids whose counters exist. *)
+let ids t =
+  List.filter
+    (fun id -> t.cells.(3 * id) != absent)
+    (List.init (Array.length t.cells / 3) Fun.id)
 
-let total_sent t = sum t.sent
-let total_delivered t = sum t.delivered
-let total_dropped t = sum t.dropped
+let sum t k = List.fold_left (fun acc id -> acc + value t id k) 0 (ids t)
+
+let total_sent t = sum t 0
+let total_delivered t = sum t 1
+let total_dropped t = sum t 2
 
 let categories t =
-  (* Categories with any nonzero counter, name-sorted (a recorded category
-     is never zero, so this matches "ever recorded since the last reset"). *)
-  let acc = ref [] in
-  let scan arr =
-    Array.iteri
-      (fun id n ->
-        if n > 0 then begin
-          let nm = !cat_names.(id) in
-          if not (List.mem nm !acc) then acc := nm :: !acc
-        end)
-      arr
-  in
-  scan t.sent;
-  scan t.delivered;
-  scan t.dropped;
-  List.sort String.compare !acc
+  (* Categories with any nonzero counter, name-sorted. *)
+  List.filter
+    (fun id -> value t id 0 > 0 || value t id 1 > 0 || value t id 2 > 0)
+    (ids t)
+  |> List.map name
+  |> List.sort String.compare
 
 let sent_excluding t ~categories:excluded =
-  let acc = ref 0 in
-  Array.iteri
-    (fun id n ->
-      if n > 0 && not (List.mem !cat_names.(id) excluded) then acc := !acc + n)
-    t.sent;
-  !acc
+  List.fold_left
+    (fun acc id ->
+      if List.mem (name id) excluded then acc else acc + value t id 0)
+    0 (ids t)
 
-let reset t =
-  Array.fill t.sent 0 (Array.length t.sent) 0;
-  Array.fill t.delivered 0 (Array.length t.delivered) 0;
-  Array.fill t.dropped 0 (Array.length t.dropped) 0
-
-(* Counter checkpoints copy the three arrays both ways: copying again on
-   restore keeps the checkpoint pristine under later increments, so one
+(* A checkpoint is the counter values in slot order, absent slots as 0.
+   Restore writes every created counter back, and a counter created after
+   the capture (a slot past the copy, or absent in it) back to 0, so one
    checkpoint supports any number of restores. The category registry is
    process-global configuration, not per-run state, and is not captured. *)
 
-type checkpoint = {
-  cp_sent : int array;
-  cp_delivered : int array;
-  cp_dropped : int array;
-}
+type checkpoint = int array
 
-let checkpoint t =
-  { cp_sent = Array.copy t.sent;
-    cp_delivered = Array.copy t.delivered;
-    cp_dropped = Array.copy t.dropped }
+let checkpoint t = Array.map Obs.counter_value t.cells
 
 let restore t cp =
-  t.sent <- Array.copy cp.cp_sent;
-  t.delivered <- Array.copy cp.cp_delivered;
-  t.dropped <- Array.copy cp.cp_dropped
+  for i = 0 to Array.length t.cells - 1 do
+    let c = t.cells.(i) in
+    if c != absent then begin
+      let v = if i < Array.length cp then cp.(i) else 0 in
+      Obs.inc ~by:(v - Obs.counter_value c) c
+    end
+  done
 
 let snapshot t =
   List.map
     (fun category ->
       (category, sent t ~category, delivered t ~category, dropped t ~category))
     (categories t)
-
-let register_views t reg =
-  (* One flat view over the whole table: keys only exist once a category
-     records something, so the family's key set is runtime data — exactly
-     what Obs list-valued views are for. *)
-  Gmp_obs.Obs.register_views reg ~prefix:"msg" (fun () ->
-      List.concat_map
-        (fun (category, s, d, x) ->
-          [ (category ^ ".sent", s);
-            (category ^ ".delivered", d);
-            (category ^ ".dropped", x) ])
-        (snapshot t))
 
 let pp ppf t =
   let row ppf (category, s, d, x) =

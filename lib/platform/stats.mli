@@ -6,8 +6,10 @@
 
     Categories are interned into dense integer ids through a global,
     process-wide registry ({!intern} is idempotent and cheap to call at
-    module-initialization time). The recording path takes the interned id
-    and is a single array increment; the query API stays string-keyed. *)
+    module-initialization time). A table's tallies are counters in a
+    {!Gmp_obs.Obs} registry, named [msg.<category>.sent] / [.delivered] /
+    [.dropped]; the recording path takes the interned id and is one array
+    index plus one increment; the query API stays string-keyed. *)
 
 type t
 
@@ -30,7 +32,11 @@ val thaw : unit -> unit
 val name : category -> string
 (** Inverse of {!intern}. *)
 
-val create : unit -> t
+val create : Gmp_obs.Obs.registry -> t
+(** A table recording into the given registry. A category's three
+    counters appear there at its first record. *)
+
+val registry : t -> Gmp_obs.Obs.registry
 
 val record_sent : t -> category:category -> unit
 val record_delivered : t -> category:category -> unit
@@ -48,15 +54,10 @@ val sent_excluding : t -> categories:string list -> int
 (** Total sends outside the given categories (e.g. excluding heartbeats). *)
 
 val categories : t -> string list
+(** Categories with a nonzero counter, name-sorted. *)
+
 val snapshot : t -> (string * int * int * int) list
-(** [(category, sent, delivered, dropped)] rows. *)
-
-val reset : t -> unit
-
-val register_views : t -> Gmp_obs.Obs.registry -> unit
-(** Expose the whole table to a metrics registry as
-    [msg.<category>.sent] / [.delivered] / [.dropped] snapshot views;
-    the recording path is untouched. *)
+(** [(category, sent, delivered, dropped)] rows, one per {!categories}. *)
 
 val pp : t Fmt.t
 
@@ -67,5 +68,6 @@ type checkpoint
 val checkpoint : t -> checkpoint
 
 val restore : t -> checkpoint -> unit
-(** Rewind the counters to the captured values. A checkpoint stays valid
-    across any number of restores. *)
+(** Rewind the counters to the captured values; a counter created after
+    the capture goes back to 0. A checkpoint stays valid across any
+    number of restores. *)

@@ -11,7 +11,6 @@ type t = {
   config : Config.t;
   initial : Pid.t list;
   mutable members : Member.t Pid.Map.t; (* all ever spawned *)
-  registry : Gmp_obs.Obs.registry;
 }
 
 let create ?(config = Config.default) ?delay ?(seed = 1) ~n () =
@@ -30,32 +29,29 @@ let create ?(config = Config.default) ?delay ?(seed = 1) ~n () =
         Pid.Map.add pid m acc)
       Pid.Map.empty initial
   in
-  let registry = Gmp_obs.Obs.create () in
-  Gmp_net.Stats.register_views (Runtime.stats runtime) registry;
-  let eng = Runtime.engine runtime in
-  Gmp_obs.Obs.register_view registry "sim.events_fired" (fun () ->
-      Gmp_sim.Engine.fired_events eng);
-  Gmp_obs.Obs.register_view registry "sim.peak_heap_entries" (fun () ->
-      Gmp_sim.Engine.peak_queue_length eng);
-  { runtime; trace; config; initial; members; registry }
+  { runtime; trace; config; initial; members }
 
 let runtime t = t.runtime
 let engine t = Runtime.engine t.runtime
 let network t = Runtime.network t.runtime
 let trace t = t.trace
 let stats t = Runtime.stats t.runtime
-let registry t = t.registry
+let registry t = Gmp_net.Stats.registry (stats t)
 
-(* The persistent registry holds only views (closures over live counters),
-   so snapshotting it is idempotent; latency histograms are re-derived from
-   the trace into a throwaway registry each call, keeping [metrics]
-   callable at any point of a run without double-counting. *)
+(* The persistent registry holds only counters that are live state, so
+   snapshotting it is idempotent. Latency histograms are re-derived from
+   the trace, and the engine totals read afresh, into a throwaway registry
+   each call, keeping [metrics] callable at any point of a run without
+   double-counting. *)
 let metrics t =
-  let latency = Gmp_obs.Obs.create () in
-  Gmp_core.Latency.observe latency t.trace;
+  let derived = Gmp_obs.Obs.create () in
+  Gmp_core.Latency.observe derived t.trace;
+  let total name v = Gmp_obs.Obs.inc ~by:v (Gmp_obs.Obs.counter derived name) in
+  total "sim.events_fired" (Gmp_sim.Engine.fired_events (engine t));
+  total "sim.peak_heap_entries" (Gmp_sim.Engine.peak_queue_length (engine t));
   Gmp_obs.Obs.Snapshot.merge
-    (Gmp_obs.Obs.snapshot t.registry)
-    (Gmp_obs.Obs.snapshot latency)
+    (Gmp_obs.Obs.snapshot (registry t))
+    (Gmp_obs.Obs.snapshot derived)
 let initial t = t.initial
 let pids t = List.map fst (Pid.Map.bindings t.members)
 
@@ -109,8 +105,6 @@ let heal_at t time =
 
 let run ?max_steps ?(until = 500.0) t =
   Runtime.run ?max_steps ~until t.runtime
-
-let run_to_quiescence ?max_steps t = Runtime.run ?max_steps t.runtime
 
 (* ---- inspection ---- *)
 

@@ -51,9 +51,6 @@ val heal_at : t -> float -> unit
 val run : ?max_steps:int -> ?until:float -> t -> unit
 (** Default horizon 500 virtual time units. *)
 
-val run_to_quiescence : ?max_steps:int -> t -> unit
-(** Only terminates when no timers recur (e.g. heartbeats off). *)
-
 val operational_members : t -> Member.t list
 (** Alive, not quit, and holding a view. *)
 
@@ -66,13 +63,14 @@ val protocol_messages : t -> int
 (** Messages sent in the protocol categories (§7.2 accounting). *)
 
 val registry : t -> Gmp_obs.Obs.registry
-(** The group's metrics registry. Pre-wired with [msg.*] views over
-    {!stats}, [sim.events_fired] and [sim.peak_heap_entries]; harness
-    extensions (e.g. {!Gmp_net.Arq.create}[ ~registry]) hang more off it. *)
+(** The group's metrics registry: the one {!stats} records its [msg.*]
+    counters into. Harness extensions (e.g.
+    {!Gmp_net.Arq.create}[ ~registry]) hang more off it. *)
 
 val metrics : t -> Gmp_obs.Obs.Snapshot.t
 (** Registry snapshot merged with [latency.*] histograms derived from the
-    current trace ({!Gmp_core.Latency.observe}). Idempotent — safe to call
+    current trace ({!Gmp_core.Latency.observe}) and the engine totals
+    [sim.events_fired] and [sim.peak_heap_entries]. Idempotent — safe to call
     repeatedly; deterministic for a given seed and schedule. *)
 
 val fingerprint : t -> int

@@ -18,7 +18,6 @@ type 'm node = {
   vc : Vector_clock.Mutable.clock; (* copy-on-write: snapshot to publish *)
   mutable events : int; (* length of this process's history *)
   mutable on_recv : src:Pid.t -> 'm -> unit;
-  mutable on_crash : unit -> unit;
 }
 
 and 'm t = {
@@ -66,8 +65,7 @@ let spawn t pid =
       alive = true;
       vc = Vector_clock.Mutable.create ();
       events = 0;
-      on_recv = ignore_recv;
-      on_crash = (fun () -> ()) }
+      on_recv = ignore_recv }
   in
   Pid.Tbl.replace t.nodes pid node;
   node
@@ -77,14 +75,11 @@ let find t pid = Pid.Tbl.find_opt t.nodes pid
 let nodes t = Pid.Tbl.fold (fun _ node acc -> node :: acc) t.nodes []
 
 let set_receiver node on_recv = node.on_recv <- on_recv
-let set_on_crash node on_crash = node.on_crash <- on_crash
 
 let pid node = node.pid
-let node_slot node = node.slot
 let alive node = node.alive
 let clock node = Vector_clock.Mutable.snapshot node.vc
 let node_now node = Gmp_sim.Engine.now node.runtime.engine
-let node_runtime node = node.runtime
 
 let local_event node =
   (* Record a local step in the node's history; returns (index, vc) for
@@ -123,8 +118,7 @@ let broadcast ?extra_delay node ~dsts ~category payload =
 let crash node =
   if node.alive then begin
     node.alive <- false;
-    Gmp_net.Network.crash node.runtime.net node.pid;
-    node.on_crash ()
+    Gmp_net.Network.crash node.runtime.net node.pid
   end
 
 let disconnect_from node ~from =

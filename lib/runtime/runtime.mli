@@ -29,19 +29,12 @@ val find : 'm t -> Pid.t -> 'm node option
 val nodes : 'm t -> 'm node list
 
 val set_receiver : 'm node -> (src:Pid.t -> 'm -> unit) -> unit
-val set_on_crash : 'm node -> (unit -> unit) -> unit
 
 val pid : 'm node -> Pid.t
-
-val node_slot : 'm node -> int
-(** The network's dense slot for this node's pid (see
-    {!Gmp_net.Network.slot_for}); the node's timers are engine-tagged with
-    it so the explorer can attribute them to the process. *)
 
 val alive : 'm node -> bool
 val clock : 'm node -> Vector_clock.t
 val node_now : 'm node -> float
-val node_runtime : 'm node -> 'm t
 
 val local_event : 'm node -> int * Vector_clock.t
 (** Record a local step; returns the new [(history index, vector clock)]. *)

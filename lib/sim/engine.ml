@@ -125,8 +125,6 @@ let set_picker ?slack t pick =
   (match slack with Some s -> set_slack t s | None -> ());
   t.picker <- Some pick
 
-let clear_picker t = t.picker <- None
-
 (* The window stays anchored while live events remain inside it; it re-anchors
    to the earliest live event when it empties, or when something was scheduled
    *before* the base (an injection at a virtual time earlier than the frozen

@@ -73,9 +73,6 @@ val set_picker : ?slack:float -> t -> (handle list -> handle) -> unit
     more than one candidate. The picker must return one of the offered
     handles (checked). *)
 
-val clear_picker : t -> unit
-(** Return to the default deterministic (time, seq) order. *)
-
 val ready : t -> handle list
 (** The current ready window: live events within [slack] of the earliest
     pending one, sorted by (time, seq), filtered to per-channel fronts (for

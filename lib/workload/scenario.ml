@@ -305,22 +305,6 @@ let real_protocol_two_proposals ?(seed = 1) () =
   Group.run ~until:400.0 group;
   (Checker.check_safety (Group.trace group) ~initial:(Group.initial group), group)
 
-(* F3: the coordinator crashes mid-commit-broadcast, so some processes
-   install version x and others never receive it (no system view exists);
-   reconfiguration restores a unique view. We approximate "mid-broadcast" by
-   crashing the coordinator immediately after its commit leaves, with the
-   partition delaying delivery to half the group. *)
-let mgr_crash_mid_commit ?(seed = 1) ~n () =
-  let config = Config.default in
-  let group = Group.create ~config ~seed ~n () in
-  let victim = Pid.make (n - 1) in
-  Group.crash_at group 10.0 victim;
-  (* Detection ~ t=20; invites ~20-22; commit ~23-25. Cut the coordinator
-     down right around the commit. *)
-  Group.crash_at group 23.5 (Pid.make 0);
-  Group.run ~until:400.0 group;
-  (measure group, group)
-
 (* F4: two concurrent reconfiguration initiators (Table 1, row 3). The
    junior initiator's interrogation kills the senior one; a unique view
    survives. *)

@@ -73,11 +73,6 @@ val real_protocol_two_proposals :
     sees both in-flight proposals for version 1 and GetStable must
     propagate the lowest-ranked proposer's. *)
 
-val mgr_crash_mid_commit :
-  ?seed:int -> n:int -> unit -> measurement * Group.t
-(** F3 / Figure 3: the coordinator dies around its commit broadcast;
-    reconfiguration restores a unique view. *)
-
 val concurrent_initiators :
   ?seed:int -> n:int -> unit -> measurement * Group.t
 (** F4 / Figure 4 / Table 1 row 3: two concurrent initiators; exactly one

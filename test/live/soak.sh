@@ -6,7 +6,8 @@
 # reassembled trace. Run on two netem seeds: the per-link fault pattern
 # differs, the verdict must not.
 #
-# Also gates on the ARQ counters the nodes write into their logs:
+# Also gates on the ARQ counter rows gmp-cluster derives from each
+# surviving node's final metrics line:
 #   - arq.retransmits > 0    (the weather actually bit)
 #   - netem.dropped > 0      (the injection layer actually dropped)
 #   - arq.retransmit_rounds bounded (exponential backoff engaged: a fixed

@@ -680,9 +680,9 @@ let test_framing_hostile_streams () =
 (* ---- trace_io: summary lines and forward compatibility ---- *)
 
 let test_unknown_summary_line_skipped () =
-  (* Satellite: a reader must skip summary kinds it has never heard of
-     (any object without an "event" member), so logs written by newer
-     nodes still reassemble - even with the unknown line mid-file, where
+  (* A reader must skip summary kinds it does not know (any object
+     without an "event" member), so logs written by newer or older nodes
+     still reassemble - even with the unknown line mid-file, where
      torn-line tolerance cannot save it. *)
   with_temp_file (fun path ->
       let trace = Trace.create () in
@@ -691,11 +691,15 @@ let test_unknown_summary_line_skipped () =
         Trace.record trace ~owner:e.owner ~index:e.index ~time:e.time ~vc:e.vc
           e.kind
       in
+      let r = Gmp_obs.Obs.create () in
+      Gmp_obs.Obs.inc ~by:3 (Gmp_obs.Obs.counter r "arq.retransmits");
+      let snapshot = Gmp_obs.Obs.snapshot r in
       record (List.nth sample_events 0);
-      Trace_io.write_arq w ~pid:(p 0) [ ("arq.retransmits", 3) ];
+      Trace_io.write_metrics w ~pid:(p 0) ~at:1.0 snapshot;
       record (List.nth sample_events 1);
       Trace_io.close w;
-      (* Splice in a summary kind from the future, mid-file. *)
+      (* Splice in a summary kind from the future and the counter lines
+         older nodes wrote, mid-file. *)
       let ic = open_in path in
       let lines = ref [] in
       (try
@@ -706,7 +710,11 @@ let test_unknown_summary_line_skipped () =
       let lines =
         match List.rev !lines with
         | first :: rest ->
-          first :: "{\"future_summary\":{\"x\":1},\"schema\":9}" :: rest
+          first
+          :: "{\"future_summary\":{\"x\":1},\"schema\":9}"
+          :: "{\"arq\":\"p0\",\"counters\":{\"arq.retransmits\":3}}"
+          :: "{\"transport\":\"p0\",\"kind\":\"tcp\",\"counters\":{\"transport.connects\":4}}"
+          :: rest
         | [] -> []
       in
       let oc = open_out path in
@@ -715,26 +723,8 @@ let test_unknown_summary_line_skipped () =
       (match Trace_io.read_file path with
       | Error m -> Alcotest.failf "unknown summary line broke the reader: %s" m
       | Ok events -> check Alcotest.int "both events survive" 2 (List.length events));
-      check Alcotest.bool "arq summary still found" true
-        (Trace_io.read_arq path = Some [ ("arq.retransmits", 3) ]))
-
-let test_transport_summary_roundtrip () =
-  with_temp_file (fun path ->
-      let trace = Trace.create () in
-      let w = Trace_io.attach trace ~path in
-      Trace_io.write_arq w ~pid:(p 2) [ ("arq.retransmits", 1) ];
-      Trace_io.write_transport w ~pid:(p 2) ~kind:"tcp"
-        [ ("transport.connects", 4); ("transport.reconnects", 3) ];
-      Trace_io.close w;
-      check Alcotest.bool "transport summary extracted" true
-        (Trace_io.read_transport path
-        = Some ("tcp", [ ("transport.connects", 4); ("transport.reconnects", 3) ]));
-      check Alcotest.bool "arq unaffected" true
-        (Trace_io.read_arq path = Some [ ("arq.retransmits", 1) ]);
-      match Trace_io.read_file path with
-      | Ok [] -> ()
-      | Ok _ -> Alcotest.fail "summary lines leaked into the event stream"
-      | Error m -> Alcotest.failf "read failed: %s" m)
+      check Alcotest.bool "metrics line still found" true
+        (Trace_io.read_metrics path = Some snapshot))
 
 let suite =
   [ Alcotest.test_case "golden: covers every constructor" `Quick
@@ -768,6 +758,4 @@ let suite =
       Alcotest.test_case "framing: hostile streams poison, bodies don't" `Quick
         test_framing_hostile_streams;
       Alcotest.test_case "trace_io: unknown summary lines skipped" `Quick
-        test_unknown_summary_line_skipped;
-      Alcotest.test_case "trace_io: transport summary roundtrip" `Quick
-        test_transport_summary_roundtrip ]
+        test_unknown_summary_line_skipped ]

@@ -166,9 +166,6 @@ let test_mgr_crash_mid_commit () =
       Group.crash_at group 10.0 (p 5);
       (* Detection ~20, invites ~20-22, commit ~22-24: sweep the crash time
          across the window. *)
-      List.iter
-        (fun _ -> ())
-        [];
       Group.crash_at group (22.0 +. (0.5 *. float_of_int (seed mod 5))) (p 0);
       Group.run ~until:500.0 group;
       no_violations group)

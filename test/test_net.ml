@@ -51,8 +51,10 @@ let test_delay_invalid () =
 (* ---- Stats ---- *)
 
 let test_stats_counting () =
-  let s = Stats.create () in
+  let registry = Gmp_obs.Obs.create () in
+  let s = Stats.create registry in
   Stats.record_sent s ~category:(Stats.intern "a");
+  let cp = Stats.checkpoint s in
   Stats.record_sent s ~category:(Stats.intern "a");
   Stats.record_sent s ~category:(Stats.intern "b");
   Stats.record_delivered s ~category:(Stats.intern "a");
@@ -65,8 +67,13 @@ let test_stats_counting () =
   check int "excluding a" 1 (Stats.sent_excluding s ~categories:[ "a" ]);
   check (Alcotest.list Alcotest.string) "categories" [ "a"; "b" ]
     (Stats.categories s);
-  Stats.reset s;
-  check int "reset" 0 (Stats.total_sent s)
+  check bool "tallies are registry counters" true
+    (Gmp_obs.Obs.Snapshot.find (Gmp_obs.Obs.snapshot registry) "msg.b.dropped"
+    = Some (Gmp_obs.Obs.Snapshot.Counter 1));
+  Stats.restore s cp;
+  check int "restore rewinds" 1 (Stats.total_sent s);
+  check (Alcotest.list Alcotest.string) "a category created after the capture reads 0"
+    [ "a" ] (Stats.categories s)
 
 (* ---- Network ---- *)
 

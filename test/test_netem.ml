@@ -17,6 +17,11 @@ let int = Alcotest.int
 
 let p ?(i = 0) id = Pid.make ~incarnation:i id
 
+let counter node name =
+  match Gmp_obs.Obs.Snapshot.find (Node.metrics node) name with
+  | Some (Gmp_obs.Obs.Snapshot.Counter v) -> v
+  | _ -> Alcotest.failf "counter %s missing" name
+
 (* ---- the model itself ---- *)
 
 let test_validation () =
@@ -179,7 +184,6 @@ let test_live_fifo_exactly_once () =
   Domain.join rd;
   check (Alcotest.list int) "FIFO exactly-once through the weather"
     (List.init n Fun.id) (List.rev !got);
-  let counter node name = List.assoc name (Node.counters node) in
   check bool "loss actually happened" true (counter recv "netem.dropped" > 0);
   check bool "retransmission engaged" true (counter send "arq.retransmits" > 0);
   check bool "sender paid more than one round" true
@@ -213,7 +217,7 @@ let test_backoff_caps_retransmit_storm () =
   let splat = Node.platform send in
   splat.Gmp_platform.Platform.send ~dst:(p 9) ~category (app 0);
   Node.run ~until:3.0 send;
-  let rounds = List.assoc "arq.retransmit_rounds" (Node.counters send) in
+  let rounds = counter send "arq.retransmit_rounds" in
   (* Fixed rto would fire ~60 rounds in 3 s; the doubling schedule
      0.05,0.1,...,0.8 (cap 16x) admits at most ~10. *)
   check bool
@@ -256,7 +260,7 @@ let test_ctrl_survives_loss () =
   check bool "earlier command undone" false
     (Pid.Set.mem (p 9) (Node.blackholed node));
   check bool "the control plane really was lossy" true
-    (List.assoc "netem.dropped" (Node.counters node) > 0);
+    (counter node "netem.dropped" > 0);
   Node.close node
 
 let test_get_metrics_survives_loss () =

@@ -19,6 +19,30 @@ let string = Alcotest.string
 
 let p ?(i = 0) id = Pid.make ~incarnation:i id
 
+module Obs = Gmp_obs.Obs
+
+let transport_counters node =
+  List.filter_map
+    (fun (k, m) ->
+      match m with
+      | Obs.Snapshot.Counter v when String.starts_with ~prefix:"transport." k ->
+        Some (k, v)
+      | _ -> None)
+    (Obs.Snapshot.metrics (Node.metrics node))
+
+let counter node name =
+  match List.assoc_opt name (transport_counters node) with
+  | Some v -> v
+  | None -> Alcotest.failf "counter %s missing" name
+
+(* A fresh node lists every counter of its transport, at 0. *)
+let check_fresh node names =
+  check
+    Alcotest.(list (pair string int))
+    "fresh node: every transport counter at 0"
+    (List.map (fun k -> ("transport." ^ k, 0)) names)
+    (transport_counters node)
+
 (* ---- endpoints ---- *)
 
 let test_endpoint_parse () =
@@ -147,6 +171,8 @@ let test_udp_wire_byte_identity () =
       ~pid:(p 0)
       ~bind:(Endpoint.loopback ~port:0) ()
   in
+  check_fresh node
+    [ "datagrams_received"; "datagrams_sent"; "no_route_drops"; "send_errors" ];
   let plat = Node.platform node in
   (* send is synchronous on the UDP path: the datagram leaves here. *)
   plat.Gmp_platform.Platform.send ~dst ~category (app 7);
@@ -162,7 +188,7 @@ let test_udp_wire_byte_identity () =
     (Bytes.sub_string buf 0 n);
   check string "transport kind" "udp" (Node.transport_kind node);
   check bool "datagrams_sent counted" true
-    (List.assoc "transport.datagrams_sent" (Node.transport_counters node) >= 1);
+    (counter node "transport.datagrams_sent" >= 1);
   Unix.close raw;
   Node.close node
 
@@ -187,6 +213,10 @@ let test_tcp_fifo_exchange () =
       ~rto:0.05 ~pid:spid
       ~bind:(Endpoint.loopback ~port:0) ()
   in
+  check_fresh send
+    [ "accepts"; "conn_drops"; "conn_failures"; "connects"; "frames_received";
+      "frames_sent"; "half_open_drops"; "no_route_drops"; "outbox_dropped";
+      "partial_reads"; "reconnects"; "stream_desyncs" ];
   let got = ref [] in
   let rplat = Node.platform recv in
   rplat.Gmp_platform.Platform.set_receiver (fun ~src:_ msg ->
@@ -208,7 +238,6 @@ let test_tcp_fifo_exchange () =
   Domain.join rd;
   check (Alcotest.list int) "FIFO exactly-once over streams"
     (List.init n Fun.id) (List.rev !got);
-  let counter node name = List.assoc name (Node.transport_counters node) in
   check string "kind" "tcp" (Node.transport_kind send);
   check bool "sender connected" true (counter send "transport.connects" >= 1);
   check bool "sender framed traffic out" true (counter send "transport.frames_sent" >= n);
@@ -247,7 +276,6 @@ let test_tcp_reconnect_with_backoff () =
   splat.Gmp_platform.Platform.send ~dst:rpid ~category (app 42);
   (* A first stretch alone: nothing is listening on late_port. *)
   Node.run ~until:1.0 send;
-  let counter node name = List.assoc name (Node.transport_counters node) in
   check bool "connects were attempted" true (counter send "transport.connects" >= 2);
   check bool "attempts beyond the first count as reconnects" true
     (counter send "transport.reconnects" >= 1);
@@ -323,12 +351,11 @@ let test_tcp_half_open_detection () =
     splat.Gmp_platform.Platform.send ~dst:rpid ~category big
   done;
   let deadline = Unix.gettimeofday () +. 5.0 in
-  let counter name = List.assoc name (Node.transport_counters send) in
-  while counter "transport.half_open_drops" = 0 && Unix.gettimeofday () < deadline do
+  while counter send "transport.half_open_drops" = 0 && Unix.gettimeofday () < deadline do
     accept_pending ();
     Node.run ~until:0.1 send
   done;
-  check bool "half-open stream was killed" true (counter "transport.half_open_drops" >= 1);
+  check bool "half-open stream was killed" true (counter send "transport.half_open_drops" >= 1);
   Node.close send;
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !accepted;
   Unix.close listener
@@ -338,9 +365,10 @@ let test_tcp_late_learn_on_dead_conn () =
      the frame in a netem delay while [kill_conn] closes the fd. The dead
      conn must not become the route, or [remove_peer] would close its fd
      number a second time - by then possibly a fresh socket's. *)
+  let registry = Obs.create () in
   let t =
-    Transport.make ~kind:Transport.Tcp ~bind:(Endpoint.loopback ~port:0)
-      ~now:Unix.gettimeofday ~log:ignore ()
+    Transport.make ~kind:Transport.Tcp ~registry
+      ~bind:(Endpoint.loopback ~port:0) ~now:Unix.gettimeofday ~log:ignore ()
   in
   let client = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect client (Transport.resolve (t.Transport.endpoint ()));
@@ -362,7 +390,9 @@ let test_tcp_late_learn_on_dead_conn () =
      The client fd stays allocated, so the fresh socket below reuses the
      server-side fd number [kill_conn] just released. *)
   Unix.shutdown client Unix.SHUTDOWN_ALL;
-  let counter name = List.assoc name (t.Transport.counters ()) in
+  let counter name =
+    Obs.counter_value (Obs.counter registry ("transport." ^ name))
+  in
   pump_until (fun () -> counter "conn_drops" >= 1);
   check int "server side saw EOF" 1 (counter "conn_drops");
   let fresh = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
