@@ -11,6 +11,7 @@
 
 open Gmp_base
 module Runtime = Gmp_runtime.Runtime
+module Platform = Gmp_platform.Platform
 module Trace = Gmp_core.Trace
 module View = Gmp_core.View
 
@@ -19,7 +20,7 @@ type msg = Removal of Pid.t (* the coordinator's one-phase commit *)
 let cat_commit = Gmp_net.Stats.intern "commit"
 
 type node = {
-  handle : msg Runtime.node;
+  handle : msg Platform.node;
   trace : Trace.t;
   mutable view : View.t;
   mutable ver : int;
@@ -34,11 +35,11 @@ type t = {
 }
 
 let record node kind =
-  let index, vc = Runtime.local_event node.handle in
+  let index, vc = node.handle.Platform.local_event () in
   Trace.record node.trace
-    ~owner:(Runtime.pid node.handle)
+    ~owner:node.handle.Platform.pid
     ~index
-    ~time:(Runtime.node_now node.handle)
+    ~time:(node.handle.Platform.now ())
     ~vc kind
 
 let apply_removal node target =
@@ -52,7 +53,7 @@ let apply_removal node target =
   end
 
 let i_am_coordinator node =
-  let me = Runtime.pid node.handle in
+  let me = node.handle.Platform.pid in
   View.mem node.view me
   && List.for_all
        (fun q -> Pid.Set.mem q node.faulty)
@@ -61,10 +62,10 @@ let i_am_coordinator node =
 (* faultyp(q): one-phase reaction - if I am now the coordinator, broadcast
    the removal at once; otherwise just remember the suspicion. *)
 let suspect node q =
-  let me = Runtime.pid node.handle in
+  let me = node.handle.Platform.pid in
   if (not (Pid.equal q me)) && not (Pid.Set.mem q node.faulty) then begin
     node.faulty <- Pid.Set.add q node.faulty;
-    Runtime.disconnect_from node.handle ~from:q;
+    node.handle.Platform.disconnect_from ~from:q;
     record node (Trace.Faulty q);
     if i_am_coordinator node then begin
       let victims =
@@ -74,17 +75,17 @@ let suspect node q =
         (fun victim ->
           apply_removal node victim;
           record node (Trace.Committed { ver = node.ver; commit_kind = `Update });
-          Runtime.broadcast node.handle ~dsts:(View.members node.view)
+          node.handle.Platform.broadcast ~dsts:(View.members node.view)
             ~category:cat_commit (Removal victim))
         victims
     end
   end
 
 let dispatch node ~src:_ (Removal target) =
-  let me = Runtime.pid node.handle in
+  let me = node.handle.Platform.pid in
   if Pid.equal target me then begin
     record node (Trace.Quit "one-phase exclusion");
-    Runtime.crash node.handle
+    node.handle.Platform.halt ()
   end
   else begin
     if not (Pid.Set.mem target node.faulty) then begin
@@ -109,7 +110,7 @@ let create ?delay ?(seed = 1) ~n () =
           ver = 0;
           faulty = Pid.Set.empty }
       in
-      Runtime.set_receiver handle (fun ~src msg -> dispatch node ~src msg);
+      handle.Platform.set_receiver (fun ~src msg -> dispatch node ~src msg);
       t.nodes <- Pid.Map.add pid node t.nodes;
       record node (Trace.Installed { ver = 0; view_members = initial }))
     initial;

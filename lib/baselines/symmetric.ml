@@ -12,6 +12,7 @@
 
 open Gmp_base
 module Runtime = Gmp_runtime.Runtime
+module Platform = Gmp_platform.Platform
 module Trace = Gmp_core.Trace
 module View = Gmp_core.View
 
@@ -20,7 +21,7 @@ type msg = Suspect of Pid.t
 let cat_suspect = Gmp_net.Stats.intern "suspect"
 
 type node = {
-  handle : msg Runtime.node;
+  handle : msg Platform.node;
   trace : Trace.t;
   mutable view : View.t;
   mutable ver : int;
@@ -36,11 +37,11 @@ type t = {
 }
 
 let record node kind =
-  let index, vc = Runtime.local_event node.handle in
+  let index, vc = node.handle.Platform.local_event () in
   Trace.record node.trace
-    ~owner:(Runtime.pid node.handle)
+    ~owner:node.handle.Platform.pid
     ~index
-    ~time:(Runtime.node_now node.handle)
+    ~time:(node.handle.Platform.now ())
     ~vc kind
 
 let votes_for node target =
@@ -51,7 +52,7 @@ let votes_for node target =
 let maybe_remove node target =
   if View.mem node.view target then begin
     let voters = votes_for node target in
-    let me = Runtime.pid node.handle in
+    let me = node.handle.Platform.pid in
     let everyone_voted =
       List.for_all
         (fun p ->
@@ -71,7 +72,7 @@ let maybe_remove node target =
   end
 
 let rec vote node target ~voter =
-  let me = Runtime.pid node.handle in
+  let me = node.handle.Platform.pid in
   if View.mem node.view target && not (Pid.equal target me) then begin
     node.votes <-
       Pid.Map.add target (Pid.Set.add voter (votes_for node target)) node.votes;
@@ -81,7 +82,7 @@ let rec vote node target ~voter =
       node.votes <-
         Pid.Map.add target (Pid.Set.add me (votes_for node target)) node.votes;
       record node (Trace.Faulty target);
-      Runtime.broadcast node.handle ~dsts:(View.members node.view)
+      node.handle.Platform.broadcast ~dsts:(View.members node.view)
         ~category:cat_suspect (Suspect target)
     end;
     maybe_remove node target;
@@ -92,7 +93,7 @@ let rec vote node target ~voter =
 and dispatch node ~src (Suspect target) = vote node target ~voter:src
 
 let suspect node target =
-  vote node target ~voter:(Runtime.pid node.handle)
+  vote node target ~voter:node.handle.Platform.pid
 
 let create ?delay ?(seed = 1) ~n () =
   let runtime = Runtime.create ?delay ~seed () in
@@ -110,7 +111,7 @@ let create ?delay ?(seed = 1) ~n () =
           votes = Pid.Map.empty;
           voted = Pid.Set.empty }
       in
-      Runtime.set_receiver handle (fun ~src msg -> dispatch node ~src msg);
+      handle.Platform.set_receiver (fun ~src msg -> dispatch node ~src msg);
       t.nodes <- Pid.Map.add pid node t.nodes;
       record node (Trace.Installed { ver = 0; view_members = initial }))
     initial;
@@ -131,7 +132,7 @@ let at t time f =
       : Gmp_sim.Engine.handle)
 
 let crash_at t time pid =
-  at t time (fun () -> Runtime.crash (node t pid).handle)
+  at t time (fun () -> (node t pid).handle.Platform.halt ())
 
 let suspect_at t time ~observer ~target =
   at t time (fun () -> suspect (node t observer) target)
@@ -141,7 +142,7 @@ let run ?(until = 200.0) t = Runtime.run ~until t.runtime
 let views t =
   List.filter_map
     (fun (pid, node) ->
-      if Runtime.alive node.handle then
+      if node.handle.Platform.alive () then
         Some (pid, node.ver, View.members node.view)
       else None)
     (Pid.Map.bindings t.nodes)

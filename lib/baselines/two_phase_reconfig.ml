@@ -16,6 +16,7 @@
 
 open Gmp_base
 module Runtime = Gmp_runtime.Runtime
+module Platform = Gmp_platform.Platform
 module Trace = Gmp_core.Trace
 module Types = Gmp_core.Types
 module View = Gmp_core.View
@@ -44,7 +45,7 @@ type phase =
   | Interrogating of { mutable responses : (Pid.t * reply) list }
 
 type node = {
-  handle : msg Runtime.node;
+  handle : msg Platform.node;
   trace : Trace.t;
   mutable view : View.t;
   mutable ver : int;
@@ -62,12 +63,12 @@ type t = {
   mutable nodes : node Pid.Map.t;
 }
 
-let me node = Runtime.pid node.handle
+let me node = node.handle.Platform.pid
 
 let record node kind =
-  let index, vc = Runtime.local_event node.handle in
+  let index, vc = node.handle.Platform.local_event () in
   Trace.record node.trace ~owner:(me node) ~index
-    ~time:(Runtime.node_now node.handle)
+    ~time:(node.handle.Platform.now ())
     ~vc kind
 
 let others node =
@@ -95,11 +96,11 @@ let apply_op node op =
 let suspect node q =
   if (not (Pid.equal q (me node))) && not (Pid.Set.mem q node.faulty) then begin
     node.faulty <- Pid.Set.add q node.faulty;
-    Runtime.disconnect_from node.handle ~from:q;
+    node.handle.Platform.disconnect_from ~from:q;
     record node (Trace.Faulty q)
   end
 
-let send node ~dst ~category msg = Runtime.send node.handle ~dst ~category msg
+let send node ~dst ~category msg = node.handle.Platform.send ~dst ~category msg
 
 (* ---- the two-phase update algorithm (as in the real protocol) ---- *)
 
@@ -107,7 +108,7 @@ let start_exclusion node victim =
   if Pid.equal node.mgr (me node) && node.phase = Idle then begin
     suspect node victim;
     let target_ver = node.ver + 1 in
-    Runtime.broadcast node.handle ~dsts:(View.members node.view)
+    node.handle.Platform.broadcast ~dsts:(View.members node.view)
       ~category:cat_invite
       (Invite { op = Types.Remove victim; invite_ver = target_ver });
     node.phase <-
@@ -124,7 +125,7 @@ let check_mgr node =
       node.phase <- Idle;
       apply_op node op;
       record node (Trace.Committed { ver = node.ver; commit_kind = `Update });
-      Runtime.broadcast node.handle ~dsts:(non_faulty_others node)
+      node.handle.Platform.broadcast ~dsts:(non_faulty_others node)
         ~category:cat_commit
         (Commit { op; commit_ver = target_ver })
     end
@@ -137,7 +138,7 @@ let start_reconf node =
     record node (Trace.Initiated_reconf { at_ver = node.ver });
     let my_reply = { r_ver = node.ver; r_seq = node.seq; r_next = node.next } in
     node.phase <- Interrogating { responses = [ (me node, my_reply) ] };
-    Runtime.broadcast node.handle ~dsts:(View.members node.view)
+    node.handle.Platform.broadcast ~dsts:(View.members node.view)
       ~category:cat_interrogate Interrogate
   end
 
@@ -207,7 +208,7 @@ let check_reconf node =
       node.mgr <- me node;
       record node (Trace.Became_mgr { at_ver = node.ver });
       record node (Trace.Committed { ver = node.ver; commit_kind = `Reconf });
-      Runtime.broadcast node.handle ~dsts:(non_faulty_others node)
+      node.handle.Platform.broadcast ~dsts:(non_faulty_others node)
         ~category:cat_reconf_commit (Reconf_commit { canonical })
     end
   | Idle | Mgr_awaiting _ -> ()
@@ -221,7 +222,7 @@ let dispatch node ~src msg =
        (match op with
         | Types.Remove z when Pid.equal z (me node) ->
           record node (Trace.Quit "invited to be excluded");
-          Runtime.crash node.handle
+          node.handle.Platform.halt ()
         | Types.Remove z -> suspect node z
         | Types.Add _ -> ());
        node.next <-
@@ -239,7 +240,7 @@ let dispatch node ~src msg =
        (match op with
         | Types.Remove z when Pid.equal z (me node) ->
           record node (Trace.Quit "excluded");
-          Runtime.crash node.handle
+          node.handle.Platform.halt ()
         | Types.Remove z -> suspect node z; apply_op node op
         | Types.Add _ -> apply_op node op);
        node.next <- []
@@ -268,7 +269,7 @@ let dispatch node ~src msg =
            missing
        then begin
          record node (Trace.Quit "removed by reconfiguration");
-         Runtime.crash node.handle
+         node.handle.Platform.halt ()
        end
        else begin
          List.iter
@@ -302,7 +303,7 @@ let create ?delay ?(seed = 1) ~n () =
           mgr = List.hd initial;
           phase = Idle }
       in
-      Runtime.set_receiver handle (fun ~src msg -> dispatch node ~src msg);
+      handle.Platform.set_receiver (fun ~src msg -> dispatch node ~src msg);
       t.nodes <- Pid.Map.add pid node t.nodes;
       record node (Trace.Installed { ver = 0; view_members = initial }))
     initial;
@@ -322,7 +323,7 @@ let at t time f =
     (Gmp_sim.Engine.schedule_at (Runtime.engine t.runtime) ~time f
       : Gmp_sim.Engine.handle)
 
-let crash_at t time pid = at t time (fun () -> Runtime.crash (node t pid).handle)
+let crash_at t time pid = at t time (fun () -> (node t pid).handle.Platform.halt ())
 
 let exclusion_at t time ~coordinator ~victim =
   at t time (fun () -> start_exclusion (node t coordinator) victim)

@@ -48,13 +48,48 @@ let join_times trace =
     (fun (a, _) (b, _) -> Pid.compare a b)
     (Hashtbl.fold (fun p t acc -> (p, t) :: acc) tbl [])
 
+(* Per crash, per member whose view held the victim at the crash: the time
+   until that member first installs a view excluding it. A later joiner's
+   first view excluding q is admission, not detection, so it does not
+   count. Installs are per-owner in index order, so the last one at or
+   before t0 is the view held at the crash. *)
+let view_samples ~installs ~crash_times trace =
+  let owners = Trace.owners trace in
+  List.concat_map
+    (fun (q, t0) ->
+      List.filter_map
+        (fun o ->
+          if Pid.equal o q then None
+          else begin
+            let before = ref None and after = ref None in
+            List.iter
+              (fun ((e : Trace.event), _ver, members) ->
+                if Pid.equal e.owner o then
+                  if e.time <= t0 then before := Some members
+                  else if
+                    !after = None
+                    && not (List.exists (Pid.equal q) members)
+                  then after := Some e.time)
+              installs;
+            match (!before, !after) with
+            | Some held, Some t when List.exists (Pid.equal q) held ->
+              Some (q, t -. t0)
+            | _ -> None
+          end)
+        owners)
+    crash_times
+
+let view_installed trace =
+  view_samples ~installs:(Trace.installs trace)
+    ~crash_times:(crash_times ~crashes:[] trace) trace
+
 let observe ?(crashes = []) reg trace =
   let h_susp = Obs.histogram reg crash_to_first_suspicion in
   let h_view = Obs.histogram reg crash_to_view_installed in
   let h_join = Obs.histogram reg join_to_installed in
   let detections = Trace.detections trace in
   let installs = Trace.installs trace in
-  let owners = Trace.owners trace in
+  let crash_times = crash_times ~crashes trace in
   List.iter
     (fun (q, t0) ->
       (* First suspicion of q anywhere in the surviving group. *)
@@ -70,31 +105,11 @@ let observe ?(crashes = []) reg trace =
             else acc)
           None detections
       in
-      Option.iter (fun t -> Obs.observe h_susp (t -. t0)) first;
-      (* Per member: only members whose view held q when it crashed have a
-         detection to perform; a later joiner's first view excluding q is
-         admission, not detection. Installs are per-owner in index order,
-         so the last one at or before t0 is the view held at the crash. *)
-      List.iter
-        (fun o ->
-          if not (Pid.equal o q) then begin
-            let before = ref None and after = ref None in
-            List.iter
-              (fun ((e : Trace.event), _ver, members) ->
-                if Pid.equal e.owner o then
-                  if e.time <= t0 then before := Some members
-                  else if
-                    !after = None
-                    && not (List.exists (Pid.equal q) members)
-                  then after := Some e.time)
-              installs;
-            match (!before, !after) with
-            | Some held, Some t when List.exists (Pid.equal q) held ->
-              Obs.observe h_view (t -. t0)
-            | _ -> ()
-          end)
-        owners)
-    (crash_times ~crashes trace);
+      Option.iter (fun t -> Obs.observe h_susp (t -. t0)) first)
+    crash_times;
+  List.iter
+    (fun (_, d) -> Obs.observe h_view d)
+    (view_samples ~installs ~crash_times trace);
   List.iter
     (fun (q, t0) ->
       (* The joiner's own first Installed at or after the announcement. *)

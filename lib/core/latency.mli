@@ -27,6 +27,12 @@ val crash_to_first_suspicion : string
 val crash_to_view_installed : string
 val join_to_installed : string
 
+val view_installed : Trace.t -> (Pid.t * float) list
+(** The [latency.crash_to_view_installed] samples of the trace's own
+    crashes as [(victim, latency)] pairs, in the order {!observe} records
+    them: crashes by pid, members by pid. A crash whose victim no member's view held at the crash
+    instant (it was already excluded) contributes none. *)
+
 val observe :
   ?crashes:(Pid.t * float) list -> Gmp_obs.Obs.registry -> Trace.t -> unit
 (** Derive all three metric families from [trace] and record them into

@@ -26,17 +26,18 @@
    is per (netem_seed, self, peer) link, so a soak's fault pattern is
    reproducible per link even though wall-clock timing is not.
 
-   Vector clocks follow the same discipline as the simulator's runtime:
-   tick on send, broadcast and local event; merge+tick on delivery. The
-   clock itself is a monotonicized [Unix.gettimeofday] - absolute, so the
-   logs of separately-spawned processes share one time axis and the
-   orchestrator can merge them; monotonicized, because timer logic breaks
-   if NTP steps the wall clock backwards. *)
+   The process itself - pid, liveness, vector clock, history counter,
+   receiver - is the same {!Gmp_platform.Shell} the simulator runs; this
+   module is its live world. The clock is a monotonicized
+   [Unix.gettimeofday] - absolute, so the logs of separately-spawned
+   processes share one time axis and the orchestrator can merge them;
+   monotonicized, because timer logic breaks if NTP steps the wall clock
+   backwards. *)
 
 open Gmp_base
 open Gmp_causality
 open Gmp_core
-module Platform = Gmp_platform.Platform
+module Shell = Gmp_platform.Shell
 module Stats = Gmp_platform.Stats
 module Netem = Gmp_net.Netem
 module Endpoint = Gmp_net.Endpoint
@@ -46,7 +47,7 @@ module Obs = Gmp_obs.Obs
 module Arq = Gmp_net.Arq.Machine
 
 type t = {
-  pid : Pid.t;
+  shell : Wire.t Shell.t;
   transport : Transport.t;
   timers : Timers.t;
   arq : Arq.config;
@@ -54,12 +55,8 @@ type t = {
   receivers : Arq.receiver Pid.Tbl.t;
   mutable blackholed : Pid.Set.t; (* fault injection: drop their frames *)
   mutable disconnected : Pid.Set.t; (* S1: permanent incoming disconnect *)
-  vc : Vector_clock.Mutable.clock; (* copy-on-write: snapshot to publish *)
-  mutable events : int; (* local history length *)
-  mutable alive : bool;
   mutable stopping : bool; (* orchestrator asked for clean shutdown *)
-  mutable receiver : src:Pid.t -> Wire.t -> unit;
-  last_now : float ref; (* monotonicity floor; shared with the transport *)
+  now : unit -> float; (* monotonicized wall clock; shared with the transport *)
   stats : Stats.t;
   (* netem: the node's default incoming-link model, per-peer overrides,
      and one seeded RNG stream per link (control frames get their own). *)
@@ -84,8 +81,6 @@ let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
   let rto_max = Option.value rto_max ~default:(rto *. default_rto_max_factor) in
   let registry = Obs.create () in
   let arq = Arq.go_back_n ~rto ~rto_max registry in
-  (* The transport needs the clock before the node record exists, so the
-     monotonicity floor lives in a ref both close over. *)
   let last_now = ref 0.0 in
   let now () =
     let w = Unix.gettimeofday () in
@@ -96,7 +91,7 @@ let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
     Transport.make ?tcp_config ~kind:transport ~registry ~bind ~now ~log ()
   in
   let t =
-    { pid;
+    { shell = Shell.create pid;
       transport;
       timers = Timers.create ();
       arq;
@@ -104,12 +99,8 @@ let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
       receivers = Pid.Tbl.create 16;
       blackholed = Pid.Set.empty;
       disconnected = Pid.Set.empty;
-      vc = Vector_clock.Mutable.create ();
-      events = 0;
-      alive = true;
       stopping = false;
-      receiver = (fun ~src:_ _ -> ());
-      last_now;
+      now;
       stats = Stats.create registry;
       netem_default = netem;
       netem_overrides = Pid.Tbl.create 4;
@@ -125,13 +116,13 @@ let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
   List.iter (fun (p, ep) -> t.transport.Transport.add_peer p ep) peers;
   t
 
-let pid t = t.pid
+let pid t = Shell.pid t.shell
 let endpoint t = t.transport.Transport.endpoint ()
 let port t = Endpoint.port (endpoint t)
 let stats t = t.stats
-let alive t = t.alive
+let alive t = Shell.alive t.shell
 let stopping t = t.stopping
-let clock t = Vector_clock.Mutable.snapshot t.vc
+let clock t = Shell.clock t.shell
 let blackholed t = t.blackholed
 let netem t = t.netem_default
 let transport_kind t = t.transport.Transport.kind
@@ -146,16 +137,6 @@ let set_netem t ?peer model =
   | Some p -> Pid.Tbl.replace t.netem_overrides p model
 
 let add_peer t p ep = t.transport.Transport.add_peer p ep
-
-let now t =
-  let w = Unix.gettimeofday () in
-  if w > !(t.last_now) then t.last_now := w;
-  !(t.last_now)
-
-let local_event t =
-  Vector_clock.Mutable.tick t.vc t.pid;
-  t.events <- t.events + 1;
-  (t.events, Vector_clock.Mutable.snapshot t.vc)
 
 let find_or_add tbl k make =
   match Pid.Tbl.find_opt tbl k with
@@ -175,42 +156,18 @@ let rec apply t ~dst l out =
       let vc, msg = e.payload in
       sendto t ~dst
         (Codec.encode_frame
-           (Codec.Data { src = t.pid; chan_seq = e.seq; vc; msg })))
+           (Codec.Data { src = pid t; chan_seq = e.seq; vc; msg })))
     ~schedule:(fun at ->
       Timers.schedule t.timers ~at (fun () ->
-          if t.alive then apply t ~dst l (Arq.timeout l ~now:(now t))))
+          if alive t then apply t ~dst l (Arq.timeout l ~now:(t.now ()))))
 
-let transmit t ~dst msg =
+(* ---- the shell's world ---- *)
+
+let transmit t ~dst ~category vc msg =
+  Stats.record_sent t.stats ~category;
   let l = find_or_add t.links dst (fun () -> Arq.sender t.arq) in
   (* The payload is re-encoded, [chan_seq] and all, on every resend. *)
-  let payload = (Vector_clock.Mutable.snapshot t.vc, msg) in
-  apply t ~dst l (Arq.send l ~now:(now t) payload)
-
-(* ---- platform operations ---- *)
-
-let send t ~dst ~category payload =
-  if t.alive then begin
-    Vector_clock.Mutable.tick t.vc t.pid;
-    t.events <- t.events + 1;
-    Stats.record_sent t.stats ~category;
-    transmit t ~dst payload
-  end
-
-let broadcast t ~dsts ~category payload =
-  (* One vc tick for the whole broadcast, as in the simulator; the sends
-     themselves are sequential frames (indivisible in the paper's sense,
-     not failure-atomic). *)
-  if t.alive then begin
-    Vector_clock.Mutable.tick t.vc t.pid;
-    t.events <- t.events + 1;
-    List.iter
-      (fun dst ->
-        if not (Pid.equal dst t.pid) then begin
-          Stats.record_sent t.stats ~category;
-          transmit t ~dst payload
-        end)
-      dsts
-  end
+  apply t ~dst l (Arq.send l ~now:(t.now ()) (vc, msg))
 
 let disconnect_from t ~from =
   (* S1: sever the incoming channel permanently. Also stop retransmitting
@@ -225,54 +182,26 @@ let disconnect_from t ~from =
     (Pid.Tbl.find_opt t.links from);
   t.transport.Transport.remove_peer from
 
-let halt t =
-  if t.alive then begin
-    t.alive <- false;
-    Pid.Tbl.iter (fun dst l -> apply t ~dst l (Arq.teardown l)) t.links;
-    Pid.Tbl.reset t.links
-  end
-
-let set_timer t ~delay f =
-  let e =
-    Timers.schedule t.timers
-      ~at:(now t +. delay)
-      (fun () -> if t.alive then f ())
-  in
-  { Platform.cancel = (fun () -> Timers.cancel e) }
-
-let every t ~interval f =
-  if interval <= 0.0 then invalid_arg "Node.every: non-positive interval";
-  let rec loop () =
-    if t.alive then begin
-      f ();
-      if t.alive then
-        ignore
-          (Timers.schedule t.timers ~at:(now t +. interval) loop
-            : Timers.entry)
-    end
-  in
-  ignore (Timers.schedule t.timers ~at:(now t +. interval) loop : Timers.entry)
+(* The world's side of halt: no retransmission outlives the process. *)
+let halt_links t =
+  Pid.Tbl.iter (fun dst l -> apply t ~dst l (Arq.teardown l)) t.links;
+  Pid.Tbl.reset t.links
 
 let platform t =
-  { Platform.pid = t.pid;
-    alive = (fun () -> t.alive);
-    now = (fun () -> now t);
-    clock = (fun () -> clock t);
-    local_event = (fun () -> local_event t);
-    send = (fun ~dst ~category payload -> send t ~dst ~category payload);
-    broadcast =
-      (fun ~dsts ~category payload -> broadcast t ~dsts ~category payload);
-    disconnect_from = (fun ~from -> disconnect_from t ~from);
-    halt = (fun () -> halt t);
-    set_receiver = (fun f -> t.receiver <- f);
-    set_timer = (fun ~delay f -> set_timer t ~delay f);
-    every = (fun ~interval f -> every t ~interval f);
-    log = t.log }
+  Shell.node t.shell
+    { Shell.now = t.now;
+      schedule =
+        (fun ~delay f -> Timers.schedule t.timers ~at:(t.now () +. delay) f);
+      cancel = Timers.cancel;
+      transmit = (fun ~dst ~category vc msg -> transmit t ~dst ~category vc msg);
+      halt = (fun () -> halt_links t);
+      disconnect_from = (fun ~from -> disconnect_from t ~from);
+      log = t.log }
 
 (* ---- ARQ receiver side / frame dispatch ---- *)
 
 let send_ack t ~dst ~ack_next =
-  sendto t ~dst (Codec.encode_frame (Codec.Ack { src = t.pid; ack_next }))
+  sendto t ~dst (Codec.encode_frame (Codec.Ack { src = pid t; ack_next }))
 
 let handle_data t ~(origin : Transport.origin) ~src ~chan_seq ~sender_vc msg =
   (* Learn the peer's route from its traffic: joiners announce
@@ -285,10 +214,8 @@ let handle_data t ~(origin : Transport.origin) ~src ~chan_seq ~sender_vc msg =
      advance past a lost ack. *)
   send_ack t ~dst:src ~ack_next:(Arq.ack_next r);
   if deliver then begin
-    Vector_clock.Mutable.merge_tick t.vc sender_vc t.pid;
-    t.events <- t.events + 1;
     Stats.record_delivered t.stats ~category:(Wire.category_id msg);
-    t.receiver ~src msg
+    Shell.deliver t.shell ~src sender_vc msg
   end
 
 let apply_ctrl t = function
@@ -316,16 +243,16 @@ let apply_ctrl t = function
 let handle_frame t ~(origin : Transport.origin) = function
   | Codec.Data { src; chan_seq; vc; msg } ->
     if
-      t.alive
+      alive t
       && (not (Pid.Set.mem src t.blackholed))
       && not (Pid.Set.mem src t.disconnected)
     then handle_data t ~origin ~src ~chan_seq ~sender_vc:vc msg
-    else if t.alive && Pid.Set.mem src t.blackholed then
+    else if alive t && Pid.Set.mem src t.blackholed then
       Stats.record_dropped t.stats ~category:(Wire.category_id msg)
   | Codec.Ack { src; ack_next } -> (
     match Pid.Tbl.find_opt t.links src with
-    | Some l when t.alive && not (Pid.Set.mem src t.blackholed) ->
-      apply t ~dst:src l (Arq.ack l ~now:(now t) ~next:ack_next)
+    | Some l when alive t && not (Pid.Set.mem src t.blackholed) ->
+      apply t ~dst:src l (Arq.ack l ~now:(t.now ()) ~next:ack_next)
     | _ -> ())
   | Codec.Ctrl { token; cmd = Codec.Get_metrics } ->
     (* A query, not a mutation: the reply carries the snapshot and doubles
@@ -353,7 +280,7 @@ let link_model t src =
 
 let link_rng t src =
   find_or_add t.link_rngs src (fun () ->
-      Rng.create (Netem.link_seed ~seed:t.netem_seed ~self:t.pid ~peer:src))
+      Rng.create (Netem.link_seed ~seed:t.netem_seed ~self:(pid t) ~peer:src))
 
 let ingress t ~(origin : Transport.origin) frame =
   (* Decode first, then draw the frame's fate from the link model:
@@ -384,8 +311,8 @@ let ingress t ~(origin : Transport.origin) frame =
         else
           ignore
             (Timers.schedule t.timers
-               ~at:(now t +. d)
-               (fun () -> if t.alive then handle_frame t ~origin frame)
+               ~at:(t.now () +. d)
+               (fun () -> if alive t then handle_frame t ~origin frame)
               : Timers.entry)
       in
       inject delay;
@@ -405,11 +332,11 @@ let drain t =
 (* ---- poll loop ---- *)
 
 let max_poll = 0.2
-(* Upper bound on one select sleep: keeps the loop responsive to [run]'s
-   deadline and cheap to reason about; idle wakeups at 5 Hz are free. *)
+(* Upper bound on one select sleep: keeps the loop cheap to reason about;
+   idle wakeups at 5 Hz are free. *)
 
-let step t =
-  let n = now t in
+let step t ~deadline =
+  let n = t.now () in
   ignore (Timers.fire_due t.timers ~now:n : int);
   t.transport.Transport.tick ~now:n;
   let timeout =
@@ -418,8 +345,10 @@ let step t =
       | Some at -> Float.min acc (Float.max 0.0 (at -. n))
     in
     bound
-      (bound max_poll (Timers.next_deadline t.timers))
-      (t.transport.Transport.next_deadline ())
+      (bound
+         (bound max_poll (Timers.next_deadline t.timers))
+         (t.transport.Transport.next_deadline ()))
+      (Some deadline)
   in
   (match
      Unix.select
@@ -431,20 +360,19 @@ let step t =
   | _readable, _writable, _ ->
     (* Writability is consumed by [tick] (connect completions, outbox
        flushes); readability by [drain]. *)
-    t.transport.Transport.tick ~now:(now t);
+    t.transport.Transport.tick ~now:(t.now ());
     drain t
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-  ignore (Timers.fire_due t.timers ~now:(now t) : int)
+  ignore (Timers.fire_due t.timers ~now:(t.now ()) : int)
 
 let run ?until t =
-  let deadline = Option.map (fun d -> now t +. d) until in
-  let expired () =
-    match deadline with None -> false | Some d -> now t >= d
+  let deadline =
+    match until with None -> Float.infinity | Some d -> t.now () +. d
   in
-  while t.alive && (not t.stopping) && not (expired ()) do
-    step t
+  while alive t && (not t.stopping) && t.now () < deadline do
+    step t ~deadline
   done
 
 let close t =
-  halt t;
+  (platform t).halt ();
   t.transport.Transport.close ()

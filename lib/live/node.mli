@@ -1,5 +1,5 @@
-(** One live GMP process: real sockets, wall-clock timers, the Platform
-    seam's second implementation.
+(** One live GMP process: the {!Gmp_platform.Shell} over real sockets
+    and wall-clock timers.
 
     A node owns one {!Transport} (UDP datagrams or managed TCP streams)
     and a single-threaded poll loop; protocol callbacks (message
@@ -49,9 +49,9 @@ val platform : t -> Wire.t Gmp_platform.Platform.node
 
 val run : ?until:float -> t -> unit
 (** The poll loop: drain the transport, fire due timers, sleep on
-    [select] until the next deadline (timer or transport). Returns when
-    the node halts (protocol quit or crash), an orchestrator [Shutdown]
-    arrives, or [until] seconds elapse. *)
+    [select] until the next deadline (timer, transport or [until]).
+    Returns when the node halts (protocol quit or crash), an orchestrator
+    [Shutdown] arrives, or [until] seconds elapse. *)
 
 val pid : t -> Pid.t
 

@@ -213,8 +213,8 @@ let deliver t ch ~src ~dst ~category payload =
    receiving process. *)
 let chan_tag ch = (ch.src_slot lsl 16) lor ch.dst_slot
 
-let schedule_on t ch ~src ~dst ~category ~extra_delay payload =
-  let sample = Delay.sample t.delay t.rng +. extra_delay in
+let schedule_on t ch ~src ~dst ~category payload =
+  let sample = Delay.sample t.delay t.rng in
   let now = Gmp_sim.Engine.now t.engine in
   let earliest =
     if ch.last_delivery = Float.neg_infinity then 0.0
@@ -228,7 +228,7 @@ let schedule_on t ch ~src ~dst ~category ~extra_delay payload =
   in
   ()
 
-let send ?(extra_delay = 0.0) t ~src ~dst ~category payload =
+let send t ~src ~dst ~category payload =
   if Pid.equal src dst then invalid_arg "Network.send: src = dst";
   let ch = channel t ~src ~dst in
   if not t.crash_flags.(ch.src_slot) then begin
@@ -242,7 +242,7 @@ let send ?(extra_delay = 0.0) t ~src ~dst ~category payload =
            record_category = category;
            record_payload = payload;
            record_time = Gmp_sim.Engine.now t.engine });
-    schedule_on t ch ~src ~dst ~category ~extra_delay payload
+    schedule_on t ch ~src ~dst ~category payload
   end
 
 let heal t =
@@ -271,7 +271,7 @@ let heal t =
       Queue.clear ch.parked;
       List.iter
         (fun { category; payload } ->
-          schedule_on t ch ~src ~dst ~category ~extra_delay:0.0 payload)
+          schedule_on t ch ~src ~dst ~category payload)
         (List.rev msgs))
     pending
 

@@ -34,15 +34,13 @@ val set_monitor : 'm t -> ('m send_record -> unit) -> unit
 (** Observe every send (for tracing); does not affect delivery. *)
 
 val send :
-  ?extra_delay:float ->
   'm t ->
   src:Pid.t ->
   dst:Pid.t ->
   category:Stats.category ->
   'm ->
   unit
-(** Sends from crashed processes are ignored; [extra_delay] adds to the
-    sampled delay (for adversarial schedules). Raises on [src = dst]. *)
+(** Sends from crashed processes are ignored. Raises on [src = dst]. *)
 
 val crash : 'm t -> Pid.t -> unit
 val crashed : 'm t -> Pid.t -> bool

@@ -5,15 +5,15 @@
    oracle, the S1 receiver-side channel disconnect and a local clock. This
    record is exactly that surface: lib/core compiles against it and nothing
    else, so the same protocol byte-for-byte runs on the deterministic
-   simulator (Gmp_runtime.Runtime) and on real sockets with wall-clock
-   timers (Gmp_live.Live).
+   simulator (Gmp_runtime.Runtime) and on real UDP or TCP sockets with
+   wall-clock timers (Gmp_live.Node).
 
    A node is a record of closures rather than a functor so that one
    executable can host nodes of both worlds (the orchestrator does), and so
-   call sites need no functor plumbing. Implementations must maintain the
-   vector clock themselves: tick on send / broadcast / local_event,
-   merge+tick on delivery - the protocol layers read it back through
-   [clock] to stamp their traces with causal time. *)
+   call sites need no functor plumbing. Both worlds build it with the one
+   process shell (Shell), which keeps the vector clock: tick on send /
+   broadcast / local_event, merge+tick on delivery - the protocol layers
+   read it back through [clock] to stamp their traces with causal time. *)
 
 open Gmp_base
 open Gmp_causality

@@ -4,14 +4,15 @@
     see one process of an asynchronous system exclusively through this
     record: send and indivisible broadcast, one-shot and periodic timers, a
     local clock, the S1 incoming-channel disconnect, and vector-clock
-    bookkeeping. Two implementations exist:
+    bookkeeping. One implementation builds it, {!Shell.node}, over either
+    of two worlds:
 
-    - [Gmp_runtime.Runtime.platform]: the deterministic discrete-event
+    - [Gmp_runtime.Runtime.spawn]: the deterministic discrete-event
       simulator (virtual time, simulated network);
-    - [Gmp_live.Live.node]: real OS processes exchanging frames over UDP
-      loopback with wall-clock timers.
+    - [Gmp_live.Node.platform]: real OS processes exchanging frames over
+      UDP datagrams or TCP streams, with wall-clock timers.
 
-    Implementations maintain the vector clock (tick on send, broadcast and
+    The shell maintains the vector clock (tick on send, broadcast and
     local event; merge+tick on delivery) so protocol layers can stamp their
     trace events with causal timestamps. *)
 

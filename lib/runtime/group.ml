@@ -24,7 +24,7 @@ let create ?(config = Config.default) ?delay ?(seed = 1) ~n () =
   let members =
     List.fold_left
       (fun acc pid ->
-        let node = Runtime.platform (Runtime.spawn runtime pid) in
+        let node = Runtime.spawn runtime pid in
         let m = Member.create ~node ~trace ~config ~initial () in
         Pid.Map.add pid m acc)
       Pid.Map.empty initial
@@ -81,7 +81,7 @@ let join_at ?contacts t time pid ~contact =
   at t time (fun () ->
       if Pid.Map.mem pid t.members then
         invalid_arg (Fmt.str "Group.join_at: pid %a already exists" Pid.pp pid);
-      let node = Runtime.platform (Runtime.spawn t.runtime pid) in
+      let node = Runtime.spawn t.runtime pid in
       let m =
         Member.create ~joiner:true ~node ~trace:t.trace ~config:t.config
           ~initial:t.initial ()

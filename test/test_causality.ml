@@ -117,20 +117,24 @@ let test_cut_empty_frontier () =
   let log, _, _, _, _ = sample_log () in
   check bool "empty cut consistent" true (Cut.is_consistent log Pid.Map.empty)
 
-(* Runtime integration: vector clocks maintained by the runtime really
-   characterize message causality. *)
+(* Runtime integration: vector clocks maintained by the process shell
+   really characterize message causality, in both worlds. *)
 let test_runtime_vc_integration () =
-  let runtime = Gmp_runtime.Runtime.create ~seed:3 () in
-  let a = Gmp_runtime.Runtime.spawn runtime p0 in
-  let b = Gmp_runtime.Runtime.spawn runtime p1 in
-  let vc_at_receive = ref Vector_clock.empty in
-  Gmp_runtime.Runtime.set_receiver b (fun ~src:_ () ->
-      vc_at_receive := Gmp_runtime.Runtime.clock b);
-  Gmp_runtime.Runtime.send a ~dst:p1 ~category:(Gmp_net.Stats.intern "t") ();
-  let vc_after_send = Gmp_runtime.Runtime.clock a in
-  Gmp_runtime.Runtime.run runtime;
-  check bool "send happened-before receive" true
-    (Vector_clock.lt vc_after_send !vc_at_receive)
+  Worlds.both ~seed:3 (fun w ->
+      let a, b =
+        match w.Worlds.spawn [ p0; p1 ] with
+        | [ a; b ] -> (a, b)
+        | _ -> assert false
+      in
+      let vc_at_receive = ref Vector_clock.empty in
+      b.Gmp_platform.Platform.set_receiver (fun ~src:_ _ ->
+          vc_at_receive := b.Gmp_platform.Platform.clock ());
+      a.Gmp_platform.Platform.send ~dst:p1 ~category:(Gmp_net.Stats.intern "t")
+        Gmp_core.Wire.Heartbeat;
+      let vc_after_send = a.Gmp_platform.Platform.clock () in
+      w.run (20.0 *. w.unit);
+      check bool (w.name ^ ": send happened-before receive") true
+        (Vector_clock.lt vc_after_send !vc_at_receive))
 
 let suite =
   [ Alcotest.test_case "lamport: tick" `Quick test_lamport_tick;
