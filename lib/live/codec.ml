@@ -264,6 +264,20 @@ let encode_frame frame =
   Buffer.add_buffer buf body;
   Buffer.contents buf
 
+(* A Data frame's [chan_seq] sits at a fixed offset, after the header, the
+   kind byte and the src pid: a sender encodes the frame once and stamps
+   each transmission with its sequence number. *)
+let chan_seq_offset = header_len + 1 + 8
+
+let with_chan_seq frame chan_seq =
+  if String.length frame < chan_seq_offset + 4 || frame.[header_len] <> '\000'
+  then invalid_arg "Codec.with_chan_seq: not a Data frame";
+  if chan_seq < 0 || chan_seq > 0xffff_ffff then
+    invalid_arg "Codec: u32 out of range";
+  let b = Bytes.of_string frame in
+  Bytes.set_int32_be b chan_seq_offset (Int32.of_int chan_seq);
+  Bytes.unsafe_to_string b
+
 (* ---- decoding ---- *)
 
 exception Fail of error
@@ -460,22 +474,54 @@ let decode_msg s =
   let c = { src = s; limit = String.length s; pos = 0 } in
   match get_msg c with v -> finish c v | exception Fail e -> Error e
 
+(* The header rule every reader applies, datagram and stream alike. *)
+let boundary b ~off ~len =
+  if len < header_len then `Need_more
+  else if Bytes.get b off <> magic0 || Bytes.get b (off + 1) <> magic1 then
+    `Error Bad_magic
+  else
+    let v = Char.code (Bytes.get b (off + 2)) in
+    if v <> version then `Error (Unsupported_version v)
+    else
+      let byte i = Char.code (Bytes.get b (off + 3 + i)) in
+      let declared =
+        (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
+      in
+      if declared > max_frame then
+        `Error (Oversized { declared; max = max_frame })
+      else if len < header_len + declared then `Need_more
+      else `Frame (header_len + declared)
+
+(* One frame of [len] bytes at [off], whose header [boundary] accepted. *)
+let decode_body s ~off ~len =
+  let c = { src = s; limit = off + len; pos = off + header_len } in
+  match get_body c with v -> finish c v | exception Fail e -> Error e
+
+let truncated ~len =
+  Truncated (if len < header_len then "header" else "body")
+
 let decode_frame s =
   let n = String.length s in
-  if n < header_len then Error (Truncated "header")
-  else if s.[0] <> magic0 || s.[1] <> magic1 then Error Bad_magic
-  else
-    let v = Char.code s.[2] in
-    if v <> version then Error (Unsupported_version v)
+  match boundary (Bytes.unsafe_of_string s) ~off:0 ~len:n with
+  | `Error e -> Error e
+  | `Need_more -> Error (truncated ~len:n)
+  | `Frame k when k < n -> Error (Malformed "datagram longer than declared body")
+  | `Frame k -> decode_body s ~off:0 ~len:k
+
+let decode_frames s f =
+  let n = String.length s in
+  let rec go off =
+    if off = n && off > 0 then Ok ()
     else
-      let b i = Char.code s.[3 + i] in
-      let declared = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
-      if declared > max_frame then Error (Oversized { declared; max = max_frame })
-      else if n - header_len < declared then Error (Truncated "body")
-      else if n - header_len > declared then
-        Error (Malformed "datagram longer than declared body")
-      else
-        let c = { src = s; limit = n; pos = header_len } in
-        (match get_body c with
-        | v -> finish c v
-        | exception Fail e -> Error e)
+      let len = n - off in
+      match boundary (Bytes.unsafe_of_string s) ~off ~len with
+      | `Error e -> Error e
+      | `Need_more -> Error (truncated ~len)
+      | `Frame k -> (
+        match decode_body s ~off ~len:k with
+        | Ok frame ->
+          f frame;
+          go (off + k)
+        | Error e -> Error e)
+  in
+  go 0

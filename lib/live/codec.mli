@@ -86,8 +86,31 @@ val decode_msg : string -> (Wire.t, error) result
 (** Inverse of {!encode_msg}; rejects trailing bytes. *)
 
 val encode_frame : frame -> string
-(** Full datagram: header plus body. *)
+(** Full frame: header plus body. *)
+
+val with_chan_seq : string -> int -> string
+(** A copy of an encoded [Data] frame with its [chan_seq] replaced: the
+    frame is encoded once and each transmission is stamped. Raises
+    [Invalid_argument] on any other frame or an out-of-range number. *)
+
+val boundary :
+  Bytes.t ->
+  off:int ->
+  len:int ->
+  [ `Frame of int | `Need_more | `Error of error ]
+(** The frame boundary rule, shared by every reader of the wire: given
+    [len] bytes at [off], [`Frame n] when a whole frame of [n] bytes
+    (header included) starts there, [`Need_more] while its header or body
+    is incomplete, and [`Error] on a header-level error (bad magic,
+    unsupported version, oversized length), past which no boundary can be
+    found. Only the header is read. *)
 
 val decode_frame : string -> (frame, error) result
 (** Inverse of {!encode_frame}. Every failure mode is a clean [Error] -
     decoding never raises on hostile input. *)
+
+val decode_frames : string -> (frame -> unit) -> (unit, error) result
+(** Decode one or more whole frames back to back - a datagram may carry
+    an ack in front of a data frame - handing each to the callback in
+    order. The first frame that does not decode ends the walk: it and the
+    rest are dropped, and its error is returned. *)

@@ -47,23 +47,6 @@ let ensure_capacity t extra =
     t.buf <- bigger
   end
 
-(* The header check mirrors [Codec.decode_frame]'s prefix logic; body
-   malformations are left to the real decoder once the frame is whole. *)
-let header_check t =
-  if t.len < Codec.header_len then `Need_more
-  else if Bytes.get t.buf 0 <> 'G' || Bytes.get t.buf 1 <> 'M' then
-    `Error Codec.Bad_magic
-  else
-    let v = Char.code (Bytes.get t.buf 2) in
-    if v <> Codec.version then `Error (Codec.Unsupported_version v)
-    else
-      let b i = Char.code (Bytes.get t.buf (3 + i)) in
-      let declared = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
-      if declared > Codec.max_frame then
-        `Error (Codec.Oversized { declared; max = Codec.max_frame })
-      else if t.len < Codec.header_len + declared then `Need_more
-      else `Frame (Codec.header_len + declared)
-
 let feed t chunk ~off ~len =
   match t.poisoned with
   | Some e -> Error e
@@ -75,7 +58,7 @@ let feed t chunk ~off ~len =
     t.len <- t.len + len;
     let out = ref [] in
     let rec cut () =
-      match header_check t with
+      match Codec.boundary t.buf ~off:0 ~len:t.len with
       | `Need_more ->
         if t.len > 0 then t.partial_feeds <- t.partial_feeds + 1;
         Ok (List.rev !out)

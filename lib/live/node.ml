@@ -12,7 +12,9 @@
    transport seam on purpose: even TCP is only best-effort here
    (connections die, half-open streams are killed, stalled outboxes drop
    frames), so retransmission is the sole owner of reliability on either
-   wire.
+   wire. Acks ride on reverse data: an ack owed to a peer goes out in
+   front of the next data frame to it, in the same datagram or write, and
+   alone only when no data goes back within the machine's ack delay.
 
    Fault injection is receiver-side, at message ingress - after the
    transport has reassembled a complete frame, before the protocol sees
@@ -35,7 +37,6 @@
    backwards. *)
 
 open Gmp_base
-open Gmp_causality
 open Gmp_core
 module Shell = Gmp_platform.Shell
 module Stats = Gmp_platform.Stats
@@ -51,8 +52,8 @@ type t = {
   transport : Transport.t;
   timers : Timers.t;
   arq : Arq.config;
-  links : (Vector_clock.t * Wire.t, Timers.entry) Arq.sender Pid.Tbl.t;
-  receivers : Arq.receiver Pid.Tbl.t;
+  links : (string, Timers.entry) Arq.sender Pid.Tbl.t; (* encoded Data frames *)
+  receivers : Timers.entry Arq.receiver Pid.Tbl.t;
   mutable blackholed : Pid.Set.t; (* fault injection: drop their frames *)
   mutable disconnected : Pid.Set.t; (* S1: permanent incoming disconnect *)
   mutable stopping : bool; (* orchestrator asked for clean shutdown *)
@@ -148,15 +149,34 @@ let find_or_add tbl k make =
 
 (* ---- frames out; the ARQ sender side onto the wire and the wheel ---- *)
 
-let sendto t ~dst bytes = t.transport.Transport.send ~dst bytes
+let sendto t ~dst frames = t.transport.Transport.send ~dst frames
+let ack_frame t ack_next =
+  Codec.encode_frame (Codec.Ack { src = pid t; ack_next })
+let send_ack t ~dst ack_next = sendto t ~dst [ ack_frame t ack_next ]
+
+(* An Ack's fields are fixed-width: every ack frame has this length. *)
+let ack_len =
+  String.length
+    (Codec.encode_frame (Codec.Ack { src = Pid.make 0; ack_next = 0 }))
 
 let rec apply t ~dst l out =
   Arq.apply l out ~cancel:Timers.cancel
     ~transmit:(fun (e : _ Arq.entry) ->
-      let vc, msg = e.payload in
+      let data = Codec.with_chan_seq e.payload e.seq in
+      let room_for_ack =
+        String.length data <= t.transport.Transport.max_send - ack_len
+      in
       sendto t ~dst
-        (Codec.encode_frame
-           (Codec.Data { src = pid t; chan_seq = e.seq; vc; msg })))
+        (match Pid.Tbl.find_opt t.receivers dst with
+        | None -> [ data ]
+        | Some r when room_for_ack -> (
+          match Arq.piggyback r ~cancel:Timers.cancel with
+          | Some ack_next -> [ ack_frame t ack_next; data ]
+          | None -> [ data ])
+        | Some r ->
+          (* The ack in front would overflow one send: it goes alone. *)
+          Arq.flush r ~cancel:Timers.cancel ~ack:(send_ack t ~dst);
+          [ data ]))
     ~schedule:(fun at ->
       Timers.schedule t.timers ~at (fun () ->
           if alive t then apply t ~dst l (Arq.timeout l ~now:(t.now ()))))
@@ -164,10 +184,17 @@ let rec apply t ~dst l out =
 (* ---- the shell's world ---- *)
 
 let transmit t ~dst ~category vc msg =
+  (* Encoded once; each transmission stamps its [chan_seq]. A frame no
+     single send can carry is refused before it enters the window, so
+     nothing is queued for it. *)
+  let frame =
+    Codec.encode_frame (Codec.Data { src = pid t; chan_seq = 0; vc; msg })
+  in
+  if String.length frame > t.transport.Transport.max_send then
+    invalid_arg "Node: message too large for the transport";
   Stats.record_sent t.stats ~category;
   let l = find_or_add t.links dst (fun () -> Arq.sender t.arq) in
-  (* The payload is re-encoded, [chan_seq] and all, on every resend. *)
-  apply t ~dst l (Arq.send l ~now:(t.now ()) (vc, msg))
+  apply t ~dst l (Arq.send l ~now:(t.now ()) frame)
 
 let disconnect_from t ~from =
   (* S1: sever the incoming channel permanently. Also stop retransmitting
@@ -200,19 +227,20 @@ let platform t =
 
 (* ---- ARQ receiver side / frame dispatch ---- *)
 
-let send_ack t ~dst ~ack_next =
-  sendto t ~dst (Codec.encode_frame (Codec.Ack { src = pid t; ack_next }))
-
 let handle_data t ~(origin : Transport.origin) ~src ~chan_seq ~sender_vc msg =
   (* Learn the peer's route from its traffic: joiners announce
      themselves, no static address book required. The transport keeps
      configured routes authoritative and only fills gaps. *)
   origin.learn src;
   let r = find_or_add t.receivers src (fun () -> Arq.receiver t.arq) in
-  let deliver = Arq.receive r ~seq:chan_seq in
-  (* Ack every data frame, delivered or not, so the sender's window can
-     advance past a lost ack. *)
-  send_ack t ~dst:src ~ack_next:(Arq.ack_next r);
+  let ack = send_ack t ~dst:src in
+  let deliver =
+    Arq.receive r ~now:(t.now ()) ~seq:chan_seq ~ack ~schedule:(fun at ->
+        Timers.schedule t.timers ~at (fun () ->
+            (* A severed peer's receiver is gone; its ack is not owed. *)
+            if alive t && not (Pid.Set.mem src t.disconnected) then
+              Arq.flush r ~cancel:ignore ~ack))
+  in
   if deliver then begin
     Stats.record_delivered t.stats ~category:(Wire.category_id msg);
     Shell.deliver t.shell ~src sender_vc msg
@@ -324,8 +352,8 @@ let ingress t ~(origin : Transport.origin) frame =
 
 let drain t =
   t.transport.Transport.drain (fun ~origin raw ->
-      match Codec.decode_frame raw with
-      | Ok frame -> ingress t ~origin frame
+      match Codec.decode_frames raw (ingress t ~origin) with
+      | Ok () -> ()
       | Error e ->
         t.log (Fmt.str "dropping undecodable frame: %a" Codec.pp_error e))
 

@@ -38,14 +38,19 @@ val create :
     traffic, so a joiner only needs its contacts. [rto] is the ARQ's
     initial retransmission timeout (default 0.25 s); on each silent
     retransmit round it doubles up to [rto_max] (default [16 *. rto]) and
-    resets on ack progress. [netem] is the default model applied to every
+    resets on ack progress; an owed ack waits up to [rto / 4] for a data
+    frame back to its peer to ride on. [netem] is the default model applied to every
     incoming link (default {!Gmp_net.Netem.none}); [netem_seed] keys the
     per-link RNG streams, so the same seed replays the same per-link
     fault pattern. *)
 
 val platform : t -> Wire.t Gmp_platform.Platform.node
 (** The node seen through the world-agnostic seam — what
-    [Gmp_core.Member.create] takes. *)
+    [Gmp_core.Member.create] takes. Its [send] and [broadcast] raise
+    [Invalid_argument], queueing nothing, for a message whose data frame
+    one transport send cannot carry (over UDP, a frame above 65,507
+    bytes). The refused send still counts as an event of the process: its
+    clock has ticked, as for any send. *)
 
 val run : ?until:float -> t -> unit
 (** The poll loop: drain the transport, fire due timers, sleep on
@@ -88,12 +93,15 @@ val registry : t -> Gmp_obs.Obs.registry
 (** The node's metrics registry, where every one of its counters lives:
     the ARQ's [arq.data_frames_sent] (first transmissions),
     [arq.retransmits], [arq.retransmit_rounds] (retransmit-timer fires),
-    [arq.dups_suppressed] and [arq.out_of_window_drops]; fault
+    [arq.dups_suppressed], [arq.out_of_window_drops], [arq.acks_sent]
+    (acks sent alone) and [arq.acks_piggybacked] (acks carried in front
+    of a data frame); fault
     injection's [netem.dropped], [netem.duplicated] and
     [netem.reordered]; the transport's [transport.*] counters
     ({!Transport.make}); and the per-category {!stats} table's [msg.*]
     counters. Beside them, the ARQ's [arq.rtt] (wall-clock ack
-    round-trips of never-retransmitted frames — Karn's sampling rule) and
+    round-trips of never-retransmitted frames — Karn's sampling rule;
+    they include the peer's wait for data to carry the ack) and
     [arq.backoff_rounds] (retransmit rounds per recovered quiet spell)
     histograms. *)
 

@@ -3,7 +3,8 @@
    [Node] used to own a UDP socket directly, which hard-wired the runtime
    to datagrams on loopback. This module abstracts the wire behind a
    record of closures (the same seam style as [Gmp_platform.Platform]):
-   the node sends whole encoded frames to peers by pid and receives whole
+   the node sends whole encoded frames to peers by pid - several at once
+   travel together, an ack in front of a data frame - and receives whole
    frames back with an [origin] it can reply to and learn routes from -
    everything else (sockets, address resolution, connection management,
    framing) lives behind the record, so datagram and stream transports are
@@ -11,17 +12,20 @@
 
    Two implementations:
 
-   - UDP: one datagram socket; a frame is a datagram, byte-identical to
-     the pre-seam wire format. The address book maps pid -> resolved
-     sockaddr; unknown senders are learnt from their traffic.
+   - UDP: one datagram socket; the frames of one send go out as one
+     datagram, back to back, each byte-identical to the pre-seam wire
+     format, and the receiving node splits them by the codec's header.
+     The address book maps pid -> resolved sockaddr; unknown senders are
+     learnt from their traffic.
 
    - TCP: a listening socket plus one lazily-connected, non-blocking
-     stream per peer. Frames travel length-prefixed via the v2 codec's
-     own self-delimiting header ([Framing] cuts them back out of the byte
-     stream). Connections reconnect with exponential backoff, driven by
-     the traffic itself: a send toward a disconnected peer starts the
-     next attempt once the backoff allows, so the ARQ's retransmissions
-     double as reconnection probes and no extra timer plumbing is needed.
+     stream per peer; the frames of one send go out in one write. Frames
+     travel length-prefixed via the v2 codec's own self-delimiting header
+     ([Framing] cuts them back out of the byte stream). Connections
+     reconnect with exponential backoff, driven by the traffic itself: a
+     send toward a disconnected peer starts the next attempt once the
+     backoff allows, so the ARQ's retransmissions double as reconnection
+     probes and no extra timer plumbing is needed.
      Half-open connections - established but silently dead, the failure
      mode streams add over datagrams - are detected by stalled progress:
      an outbox that stays unflushed past a timeout kills the connection.
@@ -47,7 +51,8 @@ type origin = {
 type t = {
   kind : string;
   endpoint : unit -> Endpoint.t;
-  send : dst:Pid.t -> string -> unit;
+  send : dst:Pid.t -> string list -> unit;
+  max_send : int;
   add_peer : Pid.t -> Endpoint.t -> unit;
   remove_peer : Pid.t -> unit;
   rfds : unit -> Unix.file_descr list;
@@ -57,6 +62,9 @@ type t = {
   drain : (origin:origin -> string -> unit) -> unit;
   close : unit -> unit;
 }
+
+(* The largest UDP payload over IPv4: 65,535 less the IP and UDP headers. *)
+let max_udp_payload = 65_507
 
 type kind = Udp | Tcp
 
@@ -114,8 +122,7 @@ let udp ~registry ~bind ~log () =
   let sendto_addr addr bytes =
     try
       ignore
-        (Unix.sendto sock (Bytes.of_string bytes) 0 (String.length bytes) []
-           addr
+        (Unix.sendto_substring sock bytes 0 (String.length bytes) [] addr
           : int);
       Obs.inc ctr.datagrams_sent
     with
@@ -125,12 +132,14 @@ let udp ~registry ~bind ~log () =
          to the ARQ, which is what retransmission exists for. *)
       Obs.inc ctr.send_errors
   in
-  let send ~dst bytes =
+  let send ~dst frames =
     match Pid.Tbl.find_opt peers dst with
     | None ->
-      Obs.inc ctr.no_route_drops;
+      Obs.inc ~by:(List.length frames) ctr.no_route_drops;
       log (Printf.sprintf "no address for %s" (Pid.to_string dst))
-    | Some addr -> sendto_addr addr bytes
+    | Some addr ->
+      sendto_addr addr
+        (match frames with [ f ] -> f | fs -> String.concat "" fs)
   in
   let drain handle =
     let rec go () =
@@ -161,6 +170,7 @@ let udp ~registry ~bind ~log () =
   { kind = "udp";
     endpoint = (fun () -> bound);
     send;
+    max_send = max_udp_payload;
     add_peer = (fun pid ep -> Pid.Tbl.replace peers pid (resolve ep));
     remove_peer = (fun pid -> Pid.Tbl.remove peers pid);
     rfds = (fun () -> [ sock ]);
@@ -191,11 +201,13 @@ let default_tcp =
 
 type conn_state = Connecting of float (* started *) | Established
 
+type write = { bytes : string; frames : int (* whole frames in [bytes] *) }
+
 type conn = {
   fd : Unix.file_descr;
   mutable state : conn_state;
   decoder : Framing.t;
-  outq : string Queue.t; (* whole frames awaiting write *)
+  outq : write Queue.t; (* whole frames awaiting write *)
   mutable out_off : int; (* bytes of the head frame already written *)
   mutable out_bytes : int;
   mutable last_progress : float; (* last successful read or write *)
@@ -295,20 +307,18 @@ let flush st conn =
        let continue = ref true in
        while !continue && not (Queue.is_empty conn.outq) do
          let head = Queue.peek conn.outq in
-         let len = String.length head - conn.out_off in
+         let len = String.length head.bytes - conn.out_off in
          match
-           Unix.write conn.fd
-             (Bytes.unsafe_of_string head)
-             conn.out_off len
+           Unix.write_substring conn.fd head.bytes conn.out_off len
          with
          | 0 -> continue := false
          | n ->
            progress := true;
            conn.out_bytes <- conn.out_bytes - n;
            if n = len then begin
-             ignore (Queue.pop conn.outq : string);
+             ignore (Queue.pop conn.outq : write);
              conn.out_off <- 0;
-             Obs.inc st.tctr.frames_sent
+             Obs.inc ~by:head.frames st.tctr.frames_sent
            end
            else begin
              conn.out_off <- conn.out_off + n;
@@ -327,15 +337,19 @@ let flush st conn =
     if !progress then conn.last_progress <- st.tnow ()
   end
 
-let enqueue st conn bytes =
+let enqueue st conn frames =
   if not conn.conn_closed then begin
-    if conn.out_bytes + String.length bytes > st.cfg.max_outbox then
+    let w =
+      { bytes = (match frames with [ f ] -> f | fs -> String.concat "" fs);
+        frames = List.length frames }
+    in
+    if conn.out_bytes + String.length w.bytes > st.cfg.max_outbox then
       (* The ARQ above owns reliability; a stalled connection must not
          buffer unboundedly on its behalf. *)
-      Obs.inc st.tctr.outbox_dropped
+      Obs.inc ~by:w.frames st.tctr.outbox_dropped
     else begin
-      Queue.add bytes conn.outq;
-      conn.out_bytes <- conn.out_bytes + String.length bytes
+      Queue.add w conn.outq;
+      conn.out_bytes <- conn.out_bytes + String.length w.bytes
     end;
     flush st conn
   end
@@ -379,14 +393,14 @@ let start_connect st pid r =
           ~reason:(Printf.sprintf "connect: %s" (Unix.error_message e))
     end
 
-let tcp_send st ~dst bytes =
+let tcp_send st ~dst frames =
   match Pid.Tbl.find_opt st.routes dst with
   | None ->
-    Obs.inc st.tctr.tcp_no_route_drops;
+    Obs.inc ~by:(List.length frames) st.tctr.tcp_no_route_drops;
     st.tlog (Printf.sprintf "no route to %s" (Pid.to_string dst))
   | Some r -> (
     match r.conn with
-    | Some conn -> enqueue st conn bytes
+    | Some conn -> enqueue st conn frames
     | None ->
       (* Lazy connect, paced by the backoff: the ARQ's retransmissions
          toward this peer are the reconnection probes. The frame rides
@@ -394,10 +408,10 @@ let tcp_send st ~dst bytes =
          retransmit that eventually succeeds carries the data. *)
       start_connect st dst r;
       (match r.conn with
-      | Some conn -> enqueue st conn bytes
+      | Some conn -> enqueue st conn frames
       | None ->
         if r.ep = None then begin
-          Obs.inc st.tctr.tcp_no_route_drops;
+          Obs.inc ~by:(List.length frames) st.tctr.tcp_no_route_drops;
           st.tlog (Printf.sprintf "no endpoint for %s" (Pid.to_string dst))
         end))
 
@@ -499,7 +513,8 @@ let accept_loop st =
 
 let read_conn st conn handle =
   let origin =
-    { reply = (fun bytes -> if not conn.conn_closed then enqueue st conn bytes);
+    { reply =
+        (fun bytes -> if not conn.conn_closed then enqueue st conn [ bytes ]);
       learn =
         (fun pid ->
           (* [learn] may run after the frame's connection died (a netem
@@ -594,7 +609,8 @@ let tcp ~registry ~cfg ~bind ~now ~log () =
   in
   { kind = "tcp";
     endpoint = (fun () -> st.tcp_bound);
-    send = (fun ~dst bytes -> tcp_send st ~dst bytes);
+    send = (fun ~dst frames -> tcp_send st ~dst frames);
+    max_send = max_int;
     add_peer =
       (fun pid ep ->
         let r = route_for st pid in

@@ -27,9 +27,14 @@ type t = {
   kind : string;  (** ["udp"] or ["tcp"], for logs *)
   endpoint : unit -> Endpoint.t;
       (** the actually-bound local endpoint (ephemeral port resolved) *)
-  send : dst:Pid.t -> string -> unit;
+  send : dst:Pid.t -> string list -> unit;
       (** Best-effort: an unroutable or unflushable frame is counted and
-          dropped, never raised on. *)
+          dropped, never raised on. The frames of one call travel
+          together, in order: one datagram over UDP, one write over TCP. *)
+  max_send : int;
+      (** The most bytes one [send] may carry, all its frames together:
+          the largest UDP payload over IPv4 (65,507); unbounded over TCP,
+          where the codec's own frame limit applies. *)
   add_peer : Pid.t -> Endpoint.t -> unit;
   remove_peer : Pid.t -> unit;
       (** Forget the route and (TCP) tear down its connection - used when
@@ -43,8 +48,10 @@ type t = {
       (** advance connection management: complete or time out connects,
           flush outboxes, kill half-open streams *)
   drain : (origin:origin -> string -> unit) -> unit;
-      (** Deliver every readable complete frame to the callback. Never
-          blocks; partial TCP frames stay buffered until a later drain. *)
+      (** Deliver everything readable to the callback, as strings of one
+          or more whole frames back to back (a UDP datagram; one frame
+          off a TCP stream). Never blocks; partial TCP frames stay
+          buffered until a later drain. *)
   close : unit -> unit;
 }
 
@@ -90,7 +97,8 @@ val make :
     [connects], [reconnects], [accepts], [conn_failures], [conn_drops],
     [half_open_drops], [stream_desyncs], [frames_sent],
     [frames_received], [partial_reads], [outbox_dropped] and
-    [no_route_drops] over TCP. [now] is the node's clock - connection management uses
+    [no_route_drops] over TCP. Frame counters count frames, however many
+    travel in one datagram or write. [now] is the node's clock - connection management uses
     it so tests can observe deadlines consistently; [log] receives
     human-oriented transport events. Constructing a TCP transport
     ignores [SIGPIPE] process-wide (a write to a dead stream must be a

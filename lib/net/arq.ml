@@ -4,13 +4,17 @@
    rest, and resends the whole window when the timer fires, doubling the
    timeout per silent round up to [rto_max] and resetting it on ack
    progress: a dead link costs O(log) rounds per quiet spell, not a storm
-   every rto. The receiver delivers exactly the next expected frame, acks
-   cumulatively on every data frame, and keeps no reorder buffer.
+   every rto. The receiver delivers exactly the next expected frame and
+   keeps no reorder buffer. Every data frame it receives makes a
+   cumulative ack owed to the sender: sent at once when the instance has
+   no ack delay, otherwise carried in front of the next data frame back
+   to that peer, or sent alone when no data goes back within the delay.
 
-   The alternating bit (window 1, 1-bit sequence numbers, fixed rto) runs
-   in the simulator, driven below over [Lossy]; go-back-N proper
-   (unbounded window and sequence numbers, backoff) is what the live node
-   ships over its transport and timer wheel. *)
+   The alternating bit (window 1, 1-bit sequence numbers, fixed rto, acks
+   at once) runs in the simulator, driven below over [Lossy]; go-back-N
+   proper (unbounded window and sequence numbers, backoff, acks delayed by
+   [rto / 4]) is what the live node ships over its transport and timer
+   wheel. *)
 
 open Gmp_base
 module Obs = Gmp_obs.Obs
@@ -23,16 +27,19 @@ module Machine = struct
     modulus : int; (* sequence space; 0 = unbounded integers *)
     rto : float;
     rto_max : float;
+    ack_delay : float; (* 0 = ack every data frame at once *)
     data_frames_sent : Obs.counter;
     retransmits : Obs.counter;
     retransmit_rounds : Obs.counter;
     dups_suppressed : Obs.counter;
     out_of_window_drops : Obs.counter;
+    acks_sent : Obs.counter;
+    acks_piggybacked : Obs.counter;
     rtt : Obs.histogram;
     backoff_rounds : Obs.histogram;
   }
 
-  let config ~window ~modulus ~rto ~rto_max r =
+  let config ~window ~modulus ~rto ~rto_max ~ack_delay r =
     if rto <= 0.0 then invalid_arg "Arq: non-positive rto";
     if rto_max < rto then invalid_arg "Arq: rto_max below rto";
     let counter name = Obs.counter r ("arq." ^ name) in
@@ -40,20 +47,27 @@ module Machine = struct
       modulus;
       rto;
       rto_max;
+      ack_delay;
       data_frames_sent = counter "data_frames_sent";
       retransmits = counter "retransmits";
       retransmit_rounds = counter "retransmit_rounds";
       dups_suppressed = counter "dups_suppressed";
       out_of_window_drops = counter "out_of_window_drops";
+      acks_sent = counter "acks_sent";
+      acks_piggybacked = counter "acks_piggybacked";
       rtt = Obs.histogram r "arq.rtt";
       backoff_rounds =
         Obs.histogram ~buckets:Obs.round_buckets r "arq.backoff_rounds" }
 
   let alternating_bit ~rto r =
-    config ~window:1 ~modulus:2 ~rto ~rto_max:rto r
+    config ~window:1 ~modulus:2 ~rto ~rto_max:rto ~ack_delay:0.0 r
 
+  (* A quarter of the rto leaves the data's round trip three quarters of
+     it: while the round trip stays under [3/4 * rto], the fallback ack
+     alone never costs a retransmit round. Above that (netem latency, a
+     slow peer) the wait can fire a spurious one. *)
   let go_back_n ~rto ~rto_max r =
-    config ~window:max_int ~modulus:0 ~rto ~rto_max r
+    config ~window:max_int ~modulus:0 ~rto ~rto_max ~ack_delay:(rto /. 4.0) r
 
   (* [a - b], and [n + 1], in the sequence space. *)
   let distance c a b =
@@ -166,19 +180,49 @@ module Machine = struct
     s.quiet_rounds <- 0;
     { frames = []; timer = Stop }
 
-  type receiver = { rc : config; mutable expected : int }
+  type 'h receiver = {
+    rc : config;
+    mutable expected : int;
+    mutable owed : 'h option; (* the fallback deadline, while an ack is owed *)
+  }
 
-  let receiver rc = { rc; expected = 0 }
-  let ack_next r = r.expected
+  let receiver rc = { rc; expected = 0; owed = None }
 
-  let receive r ~seq =
+  let receive r ~now ~seq ~ack ~schedule =
     let c = r.rc in
     let d = distance c seq r.expected in
     if d = 0 then r.expected <- succ c seq
     else if d < 0 || (c.modulus > 0 && d >= c.modulus - c.window) then
       Obs.inc c.dups_suppressed
     else Obs.inc c.out_of_window_drops;
+    (* Delivered or not, the frame is acked, so the sender's window can
+       advance past a lost ack. The first owed ack arms the fallback;
+       later ones ride on the same deadline. *)
+    if c.ack_delay = 0.0 then begin
+      Obs.inc c.acks_sent;
+      ack r.expected
+    end
+    else if Option.is_none r.owed then
+      r.owed <- Some (schedule (now +. c.ack_delay));
     d = 0
+
+  let piggyback r ~cancel =
+    match r.owed with
+    | None -> None
+    | Some h ->
+      cancel h;
+      r.owed <- None;
+      Obs.inc r.rc.acks_piggybacked;
+      Some r.expected
+
+  let flush r ~cancel ~ack =
+    match r.owed with
+    | None -> ()
+    | Some h ->
+      cancel h;
+      r.owed <- None;
+      Obs.inc r.rc.acks_sent;
+      ack r.expected
 end
 
 (* ---- the simulator's driver: the alternating bit over [Lossy] ---- *)
@@ -193,7 +237,7 @@ type 'm t = {
   config : Machine.config;
   (* both keyed (src,dst) *)
   senders : (Pid.t * Pid.t, ('m, Engine.handle) Machine.sender) Hashtbl.t;
-  receivers : (Pid.t * Pid.t, Machine.receiver) Hashtbl.t;
+  receivers : (Pid.t * Pid.t, Engine.handle Machine.receiver) Hashtbl.t;
   mutable handler : dst:Pid.t -> src:Pid.t -> 'm -> unit;
 }
 
@@ -225,10 +269,13 @@ let send t ~src ~dst payload =
 let handle_frame t ~dst ~src = function
   | Data { seq; payload } ->
     let r = find_or_add t t.receivers (src, dst) Machine.receiver in
-    let deliver = Machine.receive r ~seq in
-    (* Always ack what arrived - a lost ack must be regenerated by the
-       retransmitted data. *)
-    Lossy.send t.lossy ~src:dst ~dst:src (Ack { next = Machine.ack_next r });
+    let ack next = Lossy.send t.lossy ~src:dst ~dst:src (Ack { next }) in
+    let deliver =
+      Machine.receive r ~now:(Engine.now t.engine) ~seq ~ack
+        ~schedule:(fun time ->
+          Engine.schedule_at t.engine ~time (fun () ->
+              Machine.flush r ~cancel:ignore ~ack))
+    in
     if deliver then t.handler ~dst ~src payload
   | Ack { next } -> (
     (* The ack travels dst->src: the sender is keyed by the reversed pair. *)

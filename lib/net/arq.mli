@@ -6,8 +6,8 @@
     whole repository, in two instances: the alternating bit (window 1,
     1-bit sequence numbers, fixed rto), which {!create} runs over the
     simulator's {!Lossy} medium; and go-back-N proper (unbounded window,
-    integer sequence numbers, exponential backoff), which the live node
-    runs over its transport.
+    integer sequence numbers, exponential backoff, delayed acks that ride
+    on reverse data), which the live node runs over its transport.
 
     Messages handed to {!send} reach the upper layer exactly once, in
     order, despite loss and duplication underneath — provided the medium
@@ -28,19 +28,23 @@ module Machine : sig
       counters [arq.data_frames_sent] (first transmissions),
       [arq.retransmits] (frames re-sent), [arq.retransmit_rounds]
       (retransmit-timer fires), [arq.dups_suppressed] (data behind the
-      receive window), [arq.out_of_window_drops] (data ahead of it);
+      receive window), [arq.out_of_window_drops] (data ahead of it),
+      [arq.acks_sent] (acks sent as frames of their own) and
+      [arq.acks_piggybacked] (acks carried in front of a data frame);
       histograms [arq.rtt] (ack round-trips of never-retransmitted frames
       only — Karn's rule) and [arq.backoff_rounds] (retransmit rounds per
       recovered quiet spell, {!Gmp_obs.Obs.round_buckets}). Instances
       sharing a registry share these metrics. *)
 
   val alternating_bit : rto:float -> Gmp_obs.Obs.registry -> config
-  (** Window 1, sequence numbers modulo 2, retransmit every [rto]. *)
+  (** Window 1, sequence numbers modulo 2, retransmit every [rto]; every
+      data frame is acked at once. *)
 
   val go_back_n : rto:float -> rto_max:float -> Gmp_obs.Obs.registry -> config
   (** Unbounded window and integer sequence numbers; the timeout doubles
       per silent retransmit round up to [rto_max] and resets to [rto] on
-      ack progress. *)
+      ack progress. Acks wait up to [rto / 4] for a data frame back to the
+      peer to ride on. *)
 
   type 'p entry = private {
     seq : int;
@@ -91,15 +95,36 @@ module Machine : sig
       then [schedule] the [Arm] deadline and keep the returned handle. The
       deadline's firing is the {!timeout} input. *)
 
-  type receiver
+  type 'h receiver
+  (** The receiving half of one channel; it keeps the driver's handle
+      ['h] on the fallback-ack deadline while an ack is owed. *)
 
-  val receiver : config -> receiver
+  val receiver : config -> 'h receiver
 
-  val receive : receiver -> seq:int -> bool
+  val receive :
+    'h receiver ->
+    now:float ->
+    seq:int ->
+    ack:(int -> unit) ->
+    schedule:(float -> 'h) ->
+    bool
   (** A data frame arrived: [true] iff it is the next expected one, to be
-      delivered. Either way, ack it with {!ack_next}. *)
+      delivered. Either way a cumulative ack (the next expected sequence
+      number) is now owed to the sender. With no ack delay, [ack] sends
+      it at once. Otherwise it waits for {!piggyback}; the first owed ack
+      [schedule]s the fallback deadline, whose firing is the
+      {!flush} input. *)
 
-  val ack_next : receiver -> int
+  val piggyback : 'h receiver -> cancel:('h -> unit) -> int option
+  (** A data frame is leaving for this channel's sender: the owed ack to
+      put in front of it, if any. Clears the owed state and [cancel]s the
+      fallback deadline. *)
+
+  val flush : 'h receiver -> cancel:('h -> unit) -> ack:(int -> unit) -> unit
+  (** Send the owed ack alone now, if one is owed: [cancel] the fallback
+      deadline and hand the ack to [ack]. The deadline's firing calls it
+      (with nothing left to cancel), and so does a data frame too large
+      to carry the ack in front. *)
 end
 
 type 'm t

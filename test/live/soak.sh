@@ -12,6 +12,7 @@
 #   - netem.dropped > 0      (the injection layer actually dropped)
 #   - arq.retransmit_rounds bounded (exponential backoff engaged: a fixed
 #     0.25s rto with five nodes would burn thousands of rounds here)
+#   - arq.acks_piggybacked > 0 (owed acks rode in front of reverse data)
 #
 # And on the merged metrics report: the cluster's own detection-latency
 # histograms (derived from the reassembled trace plus the orchestrator's
@@ -55,7 +56,8 @@ check_arq() {
   total_retrans=$(sum_key 'arq\.retransmits')
   total_dropped=$(sum_key 'netem\.dropped')
   total_rounds=$(sum_key 'arq\.retransmit_rounds')
-  echo "arq: retransmits=$total_retrans netem.dropped=$total_dropped rounds=$total_rounds"
+  total_piggybacked=$(sum_key 'arq\.acks_piggybacked')
+  echo "arq: retransmits=$total_retrans netem.dropped=$total_dropped rounds=$total_rounds piggybacked=$total_piggybacked"
   if [ "$total_retrans" -le 0 ]; then
     echo "expected retransmissions under 10% loss, saw none" >&2
     return 1
@@ -68,6 +70,11 @@ check_arq() {
   # channel. 2000 across the fleet means backoff never engaged.
   if [ "$total_rounds" -le 0 ] || [ "$total_rounds" -ge 2000 ]; then
     echo "arq.retransmit_rounds=$total_rounds outside (0, 2000): backoff suspect" >&2
+    return 1
+  fi
+  # Members talk both ways all run long: some acks must ride on data.
+  if [ "$total_piggybacked" -le 0 ]; then
+    echo "expected acks carried on data frames, saw none" >&2
     return 1
   fi
   return 0

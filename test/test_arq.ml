@@ -247,17 +247,25 @@ let test_arq_ab4_pinned () =
 
 module M = Arq.Machine
 
-type gbn_frame = Data of int * int | Ack of int
+(* A data frame carries the ack its sender owes back, if any, in front. *)
+type gbn_frame = Data of int option * int * int | Ack of int
 
-(* One p0 -> p1 channel: go-back-N over [Lossy], timers on the engine.
-   [blackhole] swallows every data frame the sender puts on the wire;
-   [rounds] collects the virtual times retransmit rounds fire at. *)
+(* p0 <-> p1: go-back-N both ways over [Lossy], timers on the engine, each
+   end's owed acks riding on its own data when it sends some. [send] and
+   [received] are the p0 -> p1 direction, [send_back] and
+   [received_back] the reverse;
+   [blackhole] swallows every data frame p0 puts on the wire; [rounds]
+   collects the virtual times p0's retransmit rounds fire at; [idle] is
+   p0's sender having nothing unacked. *)
 type gbn = {
   engine : Gmp_sim.Engine.t;
   send : int -> unit;
+  send_back : int -> unit;
   received : int list ref;
+  received_back : int list ref;
   blackhole : bool ref;
   rounds : float list ref;
+  idle : unit -> bool;
   registry : Gmp_obs.Obs.registry;
 }
 
@@ -272,31 +280,53 @@ let gbn ?(fifo = true) ?(loss = 0.0) ?(duplicate = 0.0) ?(seed = 1) ~rto
   in
   let registry = Gmp_obs.Obs.create () in
   let config = M.go_back_n ~rto ~rto_max registry in
-  let tx = M.sender config and rx = M.receiver config in
-  let received = ref [] and blackhole = ref false and rounds = ref [] in
+  let pid = [| p0; p1 |] in
+  let tx = Array.init 2 (fun _ -> M.sender config)
+  and rx = Array.init 2 (fun _ -> M.receiver config)
+  and got = Array.init 2 (fun _ -> ref []) in
+  let blackhole = ref false and rounds = ref [] in
   let now () = Gmp_sim.Engine.now engine in
-  let rec apply out =
-    M.apply tx out ~cancel:(Gmp_sim.Engine.cancel engine)
+  let cancel = Gmp_sim.Engine.cancel engine in
+  let rec apply i out =
+    M.apply tx.(i) out ~cancel
       ~transmit:(fun (e : int M.entry) ->
-        if not !blackhole then
-          Lossy.send lossy ~src:p0 ~dst:p1 (Data (e.seq, e.payload)))
+        let ack = M.piggyback rx.(i) ~cancel in
+        if not (i = 0 && !blackhole) then
+          Lossy.send lossy ~src:pid.(i) ~dst:pid.(1 - i)
+            (Data (ack, e.seq, e.payload)))
       ~schedule:(fun time ->
         Gmp_sim.Engine.schedule_at engine ~time (fun () ->
-            rounds := now () :: !rounds;
-            apply (M.timeout tx ~now:(now ()))))
+            if i = 0 then rounds := now () :: !rounds;
+            apply i (M.timeout tx.(i) ~now:(now ()))))
   in
-  Lossy.set_handler lossy (fun ~dst:_ ~src:_ -> function
-    | Data (seq, x) ->
-      let deliver = M.receive rx ~seq in
-      Lossy.send lossy ~src:p1 ~dst:p0 (Ack (M.ack_next rx));
-      if deliver then received := x :: !received
-    | Ack next -> apply (M.ack tx ~now:(now ()) ~next));
+  let acked i next = apply i (M.ack tx.(i) ~now:(now ()) ~next) in
+  Lossy.set_handler lossy (fun ~dst ~src:_ frame ->
+      let i = if Pid.equal dst p0 then 0 else 1 in
+      match frame with
+      | Ack next -> acked i next
+      | Data (ack, seq, x) ->
+        Option.iter (acked i) ack;
+        let ack next = Lossy.send lossy ~src:pid.(i) ~dst:pid.(1 - i) (Ack next) in
+        if
+          M.receive rx.(i) ~now:(now ()) ~seq ~ack ~schedule:(fun time ->
+              Gmp_sim.Engine.schedule_at engine ~time (fun () ->
+                  M.flush rx.(i) ~cancel:ignore ~ack))
+        then got.(i) := x :: !(got.(i)));
+  let send i x = apply i (M.send tx.(i) ~now:(now ()) x) in
   { engine;
-    send = (fun x -> apply (M.send tx ~now:(now ()) x));
-    received;
+    send = send 0;
+    send_back = send 1;
+    received = got.(1);
+    received_back = got.(0);
     blackhole;
     rounds;
+    idle = (fun () -> M.idle tx.(0));
     registry }
+
+let gbn_counter g name =
+  match Gmp_obs.Obs.Snapshot.find (Gmp_obs.Obs.snapshot g.registry) name with
+  | Some (Gmp_obs.Obs.Snapshot.Counter v) -> v
+  | _ -> Alcotest.failf "%s missing" name
 
 let prop_gbn_sound_over_reordering =
   QCheck.Test.make
@@ -320,11 +350,7 @@ let prop_gbn_sound_over_reordering =
 
 let test_gbn_backoff_virtual_time () =
   let g = gbn ~rto:1.0 ~rto_max:8.0 () in
-  let counter name =
-    match Gmp_obs.Obs.Snapshot.find (Gmp_obs.Obs.snapshot g.registry) name with
-    | Some (Gmp_obs.Obs.Snapshot.Counter v) -> v
-    | _ -> Alcotest.failf "%s missing" name
-  in
+  let counter = gbn_counter g in
   let floats = Alcotest.(list (float 1e-9)) in
   g.blackhole := true;
   List.iter g.send [ 1; 2; 3 ];
@@ -358,11 +384,56 @@ let test_gbn_backoff_virtual_time () =
     (List.rev !(g.rounds));
   check int "rounds counted" 9 (counter "arq.retransmit_rounds")
 
+(* Rto 5 against one-way delays of at most 1.5: a round trip plus the
+   1.25 ack delay fits well inside the retransmit timeout. *)
+let test_gbn_one_way_fallback_ack () =
+  let g = gbn ~rto:5.0 ~rto_max:80.0 () in
+  List.iter g.send [ 1; 2; 3 ];
+  Gmp_sim.Engine.run g.engine;
+  check (Alcotest.list int) "delivered once, in order" [ 1; 2; 3 ]
+    (List.rev !(g.received));
+  check bool "the link went idle" true (g.idle ());
+  check int "no retransmit round" 0 (gbn_counter g "arq.retransmit_rounds");
+  (* All three land before the first one's fallback deadline. *)
+  check int "one cumulative ack, alone" 1 (gbn_counter g "arq.acks_sent");
+  check int "no data went back to carry it" 0
+    (gbn_counter g "arq.acks_piggybacked")
+
+let test_gbn_two_way_piggyback () =
+  let g = gbn ~rto:5.0 ~rto_max:80.0 () in
+  (* Both ends send every 0.5, well inside the 1.25 ack delay, until 19.5. *)
+  let n = 40 in
+  for k = 0 to n - 1 do
+    ignore
+      (Gmp_sim.Engine.schedule_at g.engine
+         ~time:(0.5 *. float_of_int k)
+         (fun () ->
+           g.send k;
+           g.send_back k)
+        : Gmp_sim.Engine.handle)
+  done;
+  Gmp_sim.Engine.run ~until:20.0 g.engine;
+  check int "no ack alone while data flows both ways" 0
+    (gbn_counter g "arq.acks_sent");
+  check bool "acks rode on the data" true
+    (gbn_counter g "arq.acks_piggybacked" > 0);
+  Gmp_sim.Engine.run g.engine;
+  check (Alcotest.list int) "delivered once, in order" (List.init n Fun.id)
+    (List.rev !(g.received));
+  check (Alcotest.list int) "and back" (List.init n Fun.id)
+    (List.rev !(g.received_back));
+  check bool "the link went idle" true (g.idle ());
+  check int "no retransmit round" 0 (gbn_counter g "arq.retransmit_rounds")
+
 let suite =
   [ Alcotest.test_case "lossy: drops" `Quick test_lossy_drops;
     Alcotest.test_case "arq: AB4 counts pinned" `Quick test_arq_ab4_pinned;
     Alcotest.test_case "go-back-N: virtual-time backoff" `Quick
       test_gbn_backoff_virtual_time;
+    Alcotest.test_case "go-back-N: one-way link idles via the fallback ack"
+      `Quick test_gbn_one_way_fallback_ack;
+    Alcotest.test_case "go-back-N: two-way traffic carries every ack"
+      `Quick test_gbn_two_way_piggyback;
     QCheck_alcotest.to_alcotest prop_gbn_sound_over_reordering;
     Alcotest.test_case "arq: teardown drains the event queue" `Quick
       test_arq_teardown_drains_event_queue;

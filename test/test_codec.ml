@@ -299,6 +299,19 @@ let decode_error_case name raw expect_fn =
 let valid_frame =
   Codec.encode_frame (Codec.Ack { src = Pid.make 1; ack_next = 3 })
 
+(* A datagram of several frames: the valid ack in front decodes, the bad
+   frame after it ends the walk, and the frame behind that is dropped. *)
+let datagram_error_case name raw expect_fn =
+  Alcotest.test_case name `Quick (fun () ->
+      let got = ref [] in
+      match Codec.decode_frames raw (fun f -> got := f :: !got) with
+      | Ok () -> Alcotest.failf "%s: decoded instead of failing" name
+      | Error e ->
+        if not (expect_fn e) then
+          Alcotest.failf "%s: unexpected error %s" name (result_of_error e);
+        check Alcotest.bool "only the leading ack decoded" true
+          (!got = [ Codec.Ack { src = Pid.make 1; ack_next = 3 } ]))
+
 let hostile_cases =
   [ decode_error_case "empty input" "" (function
       | Codec.Truncated _ -> true
@@ -334,7 +347,15 @@ let hostile_cases =
       ^ "\x00\x00\x00\x01\x00\x00\x00\x00" (* src p1 *)
       ^ "\x00\x00\x00\x00" (* chan_seq *)
       ^ "\x7f\xff\xff\xff" (* vc count lie *))
-      (function Codec.Malformed _ -> true | _ -> false) ]
+      (function Codec.Malformed _ -> true | _ -> false);
+    datagram_error_case "datagram: ack, then a hostile body"
+      (valid_frame ^ "GM\x02\x00\x00\x00\x03\xff\xff\xff" ^ valid_frame)
+      (function Codec.Malformed _ -> true | _ -> false);
+    datagram_error_case "datagram: ack, then bad magic"
+      (valid_frame ^ "XY"
+      ^ String.sub valid_frame 2 (String.length valid_frame - 2)
+      ^ valid_frame)
+      (function Codec.Bad_magic -> true | _ -> false) ]
   @
   (* Hostile Set_netem payloads: a valid Ctrl header with the probability /
      delay fields swapped for poison. The model ranges are enforced at

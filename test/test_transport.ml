@@ -152,11 +152,18 @@ let test_spec_netem_action () =
 let app n = Wire.App { app_ver = 0; payload = Codec.Blob (string_of_int n) }
 let category = Gmp_platform.Stats.intern "test"
 
+let arq_counter node name =
+  match Obs.Snapshot.find (Node.metrics node) name with
+  | Some (Obs.Snapshot.Counter v) -> v
+  | _ -> Alcotest.failf "counter %s missing" name
+
 let test_udp_wire_byte_identity () =
   (* A raw socket plays the peer: whatever the node's UDP transport puts
      on the wire must be byte-identical to [Codec.encode_frame] of the
-     logical frame - the seam added no envelope, so pre-seam nodes and
-     golden frame files still speak this wire. *)
+     logical frames - the seam added no envelope, so golden frame files
+     still speak this wire. An owed ack rides in front of the next data
+     frame to its peer, in the same datagram, or goes alone after the ack
+     delay ([rto / 4]). *)
   let raw = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
   Unix.bind raw (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
   let raw_port =
@@ -165,30 +172,132 @@ let test_udp_wire_byte_identity () =
     | _ -> assert false
   in
   let dst = p 9 in
+  let rto = 1.0 in
+  let logs = ref [] in
   let node =
     Node.create
       ~peers:[ (dst, Endpoint.loopback ~port:raw_port) ]
-      ~pid:(p 0)
+      ~rto ~pid:(p 0)
+      ~log:(fun l -> logs := l :: !logs)
       ~bind:(Endpoint.loopback ~port:0) ()
   in
   check_fresh node
     [ "datagrams_received"; "datagrams_sent"; "no_route_drops"; "send_errors" ];
   let plat = Node.platform node in
-  (* send is synchronous on the UDP path: the datagram leaves here. *)
-  plat.Gmp_platform.Platform.send ~dst ~category (app 7);
-  let expected =
-    Codec.encode_frame
-      (Codec.Data
-         { src = p 0; chan_seq = 0; vc = Node.clock node; msg = app 7 })
-  in
+  let delivered = ref 0 in
+  plat.Gmp_platform.Platform.set_receiver (fun ~src:_ _ -> incr delivered);
+  (* A frame the codec accepts but no UDP datagram can carry is refused
+     before it enters the go-back-N window. *)
+  let blob len = Wire.App { app_ver = 0; payload = Codec.Blob (String.make len 'x') } in
+  let own vc = Gmp_causality.Vector_clock.get vc (p 0) in
+  let ticks = own (Node.clock node) in
+  check bool "oversized for UDP: Invalid_argument" true
+    (match plat.Gmp_platform.Platform.send ~dst ~category (blob 65_480) with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  check bool "nothing queued" true (Node.idle node);
+  check int "nothing sent" 0 (counter node "transport.datagrams_sent");
+  check int "the refused send is still an event" (ticks + 1)
+    (own (Node.clock node));
   Unix.setsockopt_float raw Unix.SO_RCVTIMEO 5.0;
   let buf = Bytes.create 65536 in
-  let n, _ = Unix.recvfrom raw buf 0 (Bytes.length buf) [] in
-  check string "wire bytes = Codec.encode_frame" expected
-    (Bytes.sub_string buf 0 n);
+  let datagrams = ref 0 in
+  let next_datagram () =
+    let n, _ = Unix.recvfrom raw buf 0 (Bytes.length buf) [] in
+    incr datagrams;
+    Bytes.sub_string buf 0 n
+  in
+  let data ~src ~chan_seq ~vc n =
+    Codec.encode_frame (Codec.Data { src; chan_seq; vc; msg = app n })
+  in
+  let ack ~src ack_next = Codec.encode_frame (Codec.Ack { src; ack_next }) in
+  let to_node s =
+    ignore
+      (Unix.sendto_substring raw s 0 (String.length s) []
+         (Unix.ADDR_INET (Unix.inet_addr_loopback, Node.port node))
+        : int)
+  in
+  let pump_until stop =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (stop ())) && Unix.gettimeofday () < deadline do
+      Node.run ~until:0.005 node
+    done;
+    check bool "condition reached" true (stop ())
+  in
+  let received = ref 0 in
+  let deliver s =
+    to_node s;
+    incr received;
+    pump_until (fun () -> counter node "transport.datagrams_received" >= !received)
+  in
+  (* send is synchronous on the UDP path: the datagram leaves here. *)
+  plat.Gmp_platform.Platform.send ~dst ~category (app 7);
+  check string "wire bytes = Codec.encode_frame"
+    (data ~src:(p 0) ~chan_seq:0 ~vc:(Node.clock node) 7)
+    (next_datagram ());
+  check int "datagrams_sent counted" 1 (counter node "transport.datagrams_sent");
+  (* The peer acks and sends data in one datagram: both frames apply. *)
+  let peer_vc = Gmp_causality.Vector_clock.empty in
+  deliver (ack ~src:dst 1 ^ data ~src:dst ~chan_seq:0 ~vc:peer_vc 1);
+  check bool "coalesced ack applied" true (Node.idle node);
+  plat.Gmp_platform.Platform.send ~dst ~category (app 8);
+  check string "owed ack rides in front of the next data frame"
+    (ack ~src:(p 0) 1 ^ data ~src:(p 0) ~chan_seq:1 ~vc:(Node.clock node) 8)
+    (next_datagram ());
+  (* No data goes back: the ack leaves alone within the ack delay. *)
+  deliver (ack ~src:dst 2 ^ data ~src:dst ~chan_seq:1 ~vc:peer_vc 2);
+  Node.run ~until:((rto /. 4.0) +. 0.25) node;
+  check int "fallback ack sent" 1 (arq_counter node "arq.acks_sent");
+  check string "standalone ack, by itself" (ack ~src:(p 0) 2) (next_datagram ());
+  check int "one ack piggybacked" 1 (arq_counter node "arq.acks_piggybacked");
+  (* Hostile tails: the leading ack applies, the bad frame and the rest of
+     the datagram are dropped, and the node keeps running. *)
+  let u32be n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)) in
+  let evil_body =
+    "GM" ^ String.make 1 (Char.chr Codec.version) ^ u32be 3 ^ "\xff\xff\xff"
+  in
+  List.iteri
+    (fun i tail ->
+      plat.Gmp_platform.Platform.send ~dst ~category (app (9 + i));
+      ignore (next_datagram () : string);
+      check bool "data in flight" false (Node.idle node);
+      logs := [];
+      deliver (ack ~src:dst (3 + i) ^ tail ^ data ~src:dst ~chan_seq:2 ~vc:peer_vc 0);
+      check bool "leading ack applied" true (Node.idle node);
+      check int "frames after the bad one dropped" 2 !delivered;
+      check bool "bad frame logged" true
+        (List.exists
+           (String.starts_with ~prefix:"dropping undecodable frame")
+           !logs);
+      check bool "node still running" true (Node.alive node))
+    [ evil_body; "XY" ^ String.sub (ack ~src:dst 0) 2 18 ];
+  (* A data frame with no room for the owed ack in front still goes, in
+     a datagram of its own, right behind the ack sent alone. *)
+  deliver (data ~src:dst ~chan_seq:2 ~vc:peer_vc 11);
+  check int "owed ack's data delivered" 3 !delivered;
+  let frame_of len vc =
+    Codec.encode_frame
+      (Codec.Data { src = p 0; chan_seq = 4; vc; msg = blob len })
+  in
+  let vc_after_send =
+    Gmp_causality.Vector_clock.tick (Node.clock node) (p 0)
+  in
+  let len = 65_500 - String.length (frame_of 0 vc_after_send) in
+  plat.Gmp_platform.Platform.send ~dst ~category (blob len);
+  check string "the ack goes alone first" (ack ~src:(p 0) 3) (next_datagram ());
+  let big = frame_of len (Node.clock node) in
+  check int "frame fits a datagram, not with an ack" 65_500 (String.length big);
+  check bool "with the ack it would not fit" true
+    (String.length (ack ~src:(p 0) 3 ^ big) > 65_507);
+  check string "then the data frame alone" big (next_datagram ());
+  check int "acks sent alone" 2 (arq_counter node "arq.acks_sent");
+  check int "still one ack piggybacked" 1
+    (arq_counter node "arq.acks_piggybacked");
+  deliver (ack ~src:dst 5);
+  check bool "big frame acked" true (Node.idle node);
+  check int "every datagram the peer read counted, ack+data as one" !datagrams
+    (counter node "transport.datagrams_sent");
   check string "transport kind" "udp" (Node.transport_kind node);
-  check bool "datagrams_sent counted" true
-    (counter node "transport.datagrams_sent" >= 1);
   Unix.close raw;
   Node.close node
 
@@ -397,7 +506,7 @@ let test_tcp_late_learn_on_dead_conn () =
   check int "server side saw EOF" 1 (counter "conn_drops");
   let fresh = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   origin.Transport.learn (p 7);
-  t.Transport.send ~dst:(p 7) frame;
+  t.Transport.send ~dst:(p 7) [ frame ];
   check int "no route was adopted from the dead conn" 1
     (counter "no_route_drops");
   t.Transport.remove_peer (p 7);
