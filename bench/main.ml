@@ -580,7 +580,7 @@ let scale ~quick ~jobs () =
   (* Churn cost grows as n^2 x horizon (the horizon itself scales with the
      crash count), so n=256 churn is minutes of wall-clock; the single-crash
      workload carries the n=256 point instead. *)
-  let single_sizes = if quick then [ 64 ] else [ 64; 128; 256 ] in
+  let single_sizes = if quick then [ 64; 128 ] else [ 64; 128; 256 ] in
   let churn_sizes = if quick then [ 32 ] else [ 32; 64; 128 ] in
   let cells =
     List.map

@@ -32,46 +32,21 @@ type t = int array
 
 (* ---- pid <-> slot interning (per-domain) ---- *)
 
-type registry = {
-  index : int Pid.Tbl.t;
-  mutable pids : Pid.t array;
-  mutable len : int;
-}
-
-let new_registry () =
-  { index = Pid.Tbl.create 64; pids = Array.make 64 (Pid.make 0); len = 0 }
-
-let registry_key : registry Domain.DLS.key = Domain.DLS.new_key new_registry
+let registry_key : Pid.Slots.t Domain.DLS.key =
+  Domain.DLS.new_key Pid.Slots.create
 
 let registry () = Domain.DLS.get registry_key
 
-let fresh_registry () = Domain.DLS.set registry_key (new_registry ())
+let fresh_registry () = Domain.DLS.set registry_key (Pid.Slots.create ())
 
-let intern pid =
-  let reg = registry () in
-  match Pid.Tbl.find reg.index pid with
-  | i -> i
-  | exception Not_found ->
-      let i = reg.len in
-      if i = Array.length reg.pids then begin
-        let bigger = Array.make (2 * i) (Pid.make 0) in
-        Array.blit reg.pids 0 bigger 0 i;
-        reg.pids <- bigger
-      end;
-      reg.pids.(i) <- pid;
-      Pid.Tbl.add reg.index pid i;
-      reg.len <- i + 1;
-      i
+let intern pid = Pid.Slots.intern (registry ()) pid
 
 let reserve pids = List.iter (fun p -> ignore (intern p : int)) pids
 
 (* Slot of [pid] if already interned, otherwise -1 (read-only paths must not
    grow the registry: a clock can't have a nonzero count for a pid no clock
    has ever ticked). *)
-let slot_of pid =
-  match Pid.Tbl.find (registry ()).index pid with
-  | i -> i
-  | exception Not_found -> -1
+let slot_of pid = Pid.Slots.find (registry ()) pid
 
 let empty = [||]
 
@@ -143,7 +118,7 @@ let to_list t =
   let reg = registry () in
   let acc = ref [] in
   for i = Array.length t - 1 downto 0 do
-    if t.(i) <> 0 then acc := (reg.pids.(i), t.(i)) :: !acc
+    if t.(i) <> 0 then acc := (Pid.Slots.get reg i, t.(i)) :: !acc
   done;
   List.sort (fun (p, _) (q, _) -> Pid.compare p q) !acc
 
@@ -206,8 +181,10 @@ module Mutable = struct
     let lb = Array.length b in
     unshare c (if i + 1 > lb then i + 1 else lb);
     let a = c.arr in
+    (* [unshare] made [a] at least [lb] long, so no index needs a check. *)
     for j = 0 to lb - 1 do
-      if b.(j) > a.(j) then a.(j) <- b.(j)
+      let bj = Array.unsafe_get b j in
+      if bj > Array.unsafe_get a j then Array.unsafe_set a j bj
     done;
     a.(i) <- a.(i) + 1
 

@@ -102,10 +102,13 @@ let view_others t = List.filter (fun p -> not (Pid.equal p (self t))) (View.memb
 let non_faulty_others t =
   List.filter (fun p -> not (Pid.Set.mem p t.faulty)) (view_others t)
 
-let invalidate_peers t = t.peer_cache <- None
-
 (* The heartbeat detector's peer set, memoized: every state change that can
-   affect it goes through [invalidate_peers]. *)
+   affect it goes through [invalidate_peers], which is also the detector's
+   only signal to re-read the set. *)
+let invalidate_peers t =
+  t.peer_cache <- None;
+  match t.detector with None -> () | Some d -> Heartbeat.peers_changed d
+
 let heartbeat_peers t =
   match t.peer_cache with
   | Some peers -> peers

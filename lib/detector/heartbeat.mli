@@ -24,13 +24,20 @@ val create :
   suspect:(Pid.t -> unit) ->
   unit ->
   t
-(** [peers] is consulted on every tick, so the monitored set tracks the
-    current view. [timeout] must exceed [interval]. [send_beats] receives
+(** [peers] is read on the first tick or beat after creation and after
+    each {!peers_changed}, never otherwise: a received beat costs one table
+    lookup and a tick one lookup per peer, and the prune of departed peers
+    runs once per peer-set change. [timeout] must exceed [interval]. [send_beats] receives
     the whole (non-empty) peer list once per beat round: callers should
     fan it out through their platform's broadcast, which stamps one causal
     event for the round — n individual sends would each tick and republish
     the sender's vector clock, turning every round into O(n^2) clock
     copies. *)
+
+val peers_changed : t -> unit
+(** Signal that [peers ()] may now return a different set. The owner must
+    call it on every change (the detector keeps the last list it read), and
+    may call it spuriously: re-reading an unchanged set changes nothing. *)
 
 val start : t -> unit
 val stop : t -> unit
@@ -47,12 +54,18 @@ val forget : t -> Pid.t -> unit
     explicit [forget] are pruned on the next tick. *)
 
 val tracked : t -> int
-(** Number of peers with tracking state (size of the last-heard table);
-    bounded by the current peer set once a tick has run. *)
+(** Number of peers with a last-heard time (a beat, or enrolment on a
+    tick); bounded by the current peer set once a tick has run. O(peers):
+    for tests and diagnostics. *)
+
+val last_heard : t -> (Pid.t * float) list
+(** The last-heard table, sorted by pid: the [tracked] peers and the time
+    of each one's last beat or enrolment. For tests and diagnostics. *)
 
 type checkpoint
-(** Capture of the detector's mutable state (last-heard table, running flag,
-    pending-tick handle, fired-suspicion set). Only meaningful together with
+(** Capture of the detector's mutable state (last-heard table with the
+    peer set it was last synced to, running flag, pending-tick handle,
+    fired-suspicion set). Only meaningful together with
     a checkpoint of the platform that owns the detector's timers — the
     simulator's engine restore resurrects the pending tick's handle in
     place. Valid across any number of restores. *)

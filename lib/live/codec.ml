@@ -251,18 +251,20 @@ let encode_msg msg =
   add_msg buf msg;
   Buffer.contents buf
 
+(* Header and body go into one buffer, the body length patched in after:
+   the only copy is the one out of the buffer. *)
 let encode_frame frame =
-  let body = Buffer.create 128 in
-  add_body body frame;
-  let n = Buffer.length body in
-  if n > max_frame then invalid_arg "Codec.encode_frame: frame too large";
-  let buf = Buffer.create (n + header_len) in
+  let buf = Buffer.create 128 in
   Buffer.add_char buf magic0;
   Buffer.add_char buf magic1;
   add_u8 buf version;
-  add_u32 buf n;
-  Buffer.add_buffer buf body;
-  Buffer.contents buf
+  add_u32 buf 0;
+  add_body buf frame;
+  let n = Buffer.length buf - header_len in
+  if n > max_frame then invalid_arg "Codec.encode_frame: frame too large";
+  let b = Buffer.to_bytes buf in
+  Bytes.set_int32_be b (header_len - 4) (Int32.of_int n);
+  Bytes.unsafe_to_string b
 
 (* A Data frame's [chan_seq] sits at a fixed offset, after the header, the
    kind byte and the src pid: a sender encodes the frame once and stamps

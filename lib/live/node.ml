@@ -53,6 +53,11 @@ type t = {
   timers : Timers.t;
   arq : Arq.config;
   links : (string, Timers.entry) Arq.sender Pid.Tbl.t; (* encoded Data frames *)
+  mutable last_data : (Gmp_causality.Vector_clock.t * Wire.t * string) option;
+      (* the last Data frame encoded, with the clock snapshot and message
+         it encodes: both are immutable, and a broadcast hands every
+         destination the same two values, so [transmit] encodes once per
+         broadcast *)
   receivers : Timers.entry Arq.receiver Pid.Tbl.t;
   mutable blackholed : Pid.Set.t; (* fault injection: drop their frames *)
   mutable disconnected : Pid.Set.t; (* S1: permanent incoming disconnect *)
@@ -97,6 +102,7 @@ let create ?(peers = []) ?(transport = Transport.Udp) ?tcp_config
       timers = Timers.create ();
       arq;
       links = Pid.Tbl.create 16;
+      last_data = None;
       receivers = Pid.Tbl.create 16;
       blackholed = Pid.Set.empty;
       disconnected = Pid.Set.empty;
@@ -183,13 +189,21 @@ let rec apply t ~dst l out =
 
 (* ---- the shell's world ---- *)
 
+let data_frame t vc msg =
+  match t.last_data with
+  | Some (vc', msg', frame) when vc' == vc && msg' == msg -> frame
+  | _ ->
+    let frame =
+      Codec.encode_frame (Codec.Data { src = pid t; chan_seq = 0; vc; msg })
+    in
+    t.last_data <- Some (vc, msg, frame);
+    frame
+
 let transmit t ~dst ~category vc msg =
-  (* Encoded once; each transmission stamps its [chan_seq]. A frame no
-     single send can carry is refused before it enters the window, so
-     nothing is queued for it. *)
-  let frame =
-    Codec.encode_frame (Codec.Data { src = pid t; chan_seq = 0; vc; msg })
-  in
+  (* Encoded once per message, not per destination; each transmission
+     stamps its [chan_seq]. A frame no single send can carry is refused
+     before it enters the window, so nothing is queued for it. *)
+  let frame = data_frame t vc msg in
   if String.length frame > t.transport.Transport.max_send then
     invalid_arg "Node: message too large for the transport";
   Stats.record_sent t.stats ~category;

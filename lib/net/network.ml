@@ -5,10 +5,13 @@
    epsilon after the previous delivery on the same channel.
 
    Channel state lives in a dense matrix indexed by small per-network pid
-   slots (pids are interned on first contact): a send resolves its channel
-   with two int-keyed table hits and two array reads — no tuple allocation,
-   no polymorphic hashing. Crash and disconnection flags are dense arrays
-   over the same slots, so the delivery path is array reads only.
+   slots (pids are interned on first contact, by {!Pid.Slots}): a send
+   resolves each endpoint's slot with an array read by pid id, and its
+   channel with two more array reads — no tuple allocation, and no hashing
+   unless two incarnations of one id alternate. Crash and disconnection
+   flags are dense arrays over the same slots, and
+   a delivery recovers both pids from its channel's slots, so the delivery
+   path is array reads only and hands the handler the destination's slot.
 
    Three ways a message can fail to be processed, all consistent with the
    paper's model:
@@ -27,10 +30,8 @@ type 'm t = {
   stats : Stats.t;
   fifo_epsilon : float;
   (* Pid interning: pid -> dense slot in the arrays below. *)
-  pid_slots : int Pid.Tbl.t;
-  mutable pids : Pid.t array; (* slot -> pid *)
-  mutable npids : int;
-  mutable cap : int; (* = Array.length pids; rows are [cap] wide *)
+  slots : Pid.Slots.t;
+  mutable cap : int; (* rows are [cap] wide, [cap >= Pid.Slots.length] *)
   (* chan_rows.(src_slot).(dst_slot): all mutable channel state in one
      record, found with two array reads per send (deliveries capture the
      record in their closure and pay no lookup at all). [dummy] marks
@@ -44,7 +45,7 @@ type 'm t = {
   (* Partition: pids mapped to a group label; absent pids are in group 0.
      None = fully connected. *)
   mutable partition : int Pid.Map.t option;
-  mutable handler : dst:Pid.t -> src:Pid.t -> 'm -> unit;
+  mutable handler : dst_slot:int -> src:Pid.t -> 'm -> unit;
   mutable monitor : ('m send_record -> unit) option;
 }
 
@@ -68,7 +69,7 @@ and 'm send_record = {
   record_time : float;
 }
 
-let default_handler ~dst:_ ~src:_ _ =
+let default_handler ~dst_slot:_ ~src:_ _ =
   failwith "Network: no handler installed (call Network.set_handler)"
 
 let initial_cap = 16
@@ -85,9 +86,7 @@ let create ?(fifo_epsilon = 1e-6) ~engine ~rng ~delay () =
     delay;
     stats = Stats.create (Gmp_obs.Obs.create ());
     fifo_epsilon;
-    pid_slots = Pid.Tbl.create 64;
-    pids = Array.make initial_cap (Pid.make 0);
-    npids = 0;
+    slots = Pid.Slots.create ();
     cap = initial_cap;
     chan_rows = Array.init initial_cap (fun _ -> Array.make initial_cap dummy);
     dummy;
@@ -99,8 +98,6 @@ let create ?(fifo_epsilon = 1e-6) ~engine ~rng ~delay () =
 
 let grow_tables t =
   let cap = 2 * t.cap in
-  let pids = Array.make cap (Pid.make 0) in
-  Array.blit t.pids 0 pids 0 t.npids;
   let chan_rows =
     Array.init cap (fun i ->
         let row = Array.make cap t.dummy in
@@ -115,33 +112,23 @@ let grow_tables t =
   in
   let crash_flags = Array.make cap false in
   Array.blit t.crash_flags 0 crash_flags 0 t.cap;
-  t.pids <- pids;
   t.chan_rows <- chan_rows;
   t.disc_rows <- disc_rows;
   t.crash_flags <- crash_flags;
   t.cap <- cap
 
+let npids t = Pid.Slots.length t.slots
+
 let pid_slot t pid =
-  match Pid.Tbl.find t.pid_slots pid with
-  | slot -> slot
-  | exception Not_found ->
-    let slot = t.npids in
-    if slot = t.cap then grow_tables t;
-    t.pids.(slot) <- pid;
-    Pid.Tbl.add t.pid_slots pid slot;
-    t.npids <- slot + 1;
-    slot
+  let slot = Pid.Slots.intern t.slots pid in
+  if slot = t.cap then grow_tables t;
+  slot
 
 (* Slot if the pid has ever touched the network, else -1 (read-only paths
    must not intern). *)
-let slot_of t pid =
-  match Pid.Tbl.find t.pid_slots pid with
-  | slot -> slot
-  | exception Not_found -> -1
+let slot_of t pid = Pid.Slots.find t.slots pid
 
-let channel t ~src ~dst =
-  let i = pid_slot t src in
-  let j = pid_slot t dst in
+let channel t i j =
   let row = t.chan_rows.(i) in
   let ch = row.(j) in
   if ch != t.dummy then ch
@@ -184,6 +171,10 @@ let group_of t pid =
 
 let reachable t a b = group_of t a = group_of t b
 
+let reachable_slots t i j =
+  t.partition = None
+  || reachable t (Pid.Slots.get t.slots i) (Pid.Slots.get t.slots j)
+
 let partition t groups =
   let table =
     List.fold_left
@@ -194,18 +185,19 @@ let partition t groups =
   in
   t.partition <- Some table
 
-let deliver t ch ~src ~dst ~category payload =
+let deliver t ch ~category payload =
   if t.crash_flags.(ch.dst_slot) then
     Stats.record_dropped t.stats ~category
   else if t.disc_rows.(ch.dst_slot).(ch.src_slot) then
     (* S1: silently discarded at the receiver. *)
     Stats.record_dropped t.stats ~category
-  else if not (reachable t src dst) then
+  else if not (reachable_slots t ch.src_slot ch.dst_slot) then
     (* Parked until the partition heals; channels stay reliable. *)
     Queue.add { category; payload } ch.parked
   else begin
     Stats.record_delivered t.stats ~category;
-    t.handler ~dst ~src payload
+    t.handler ~dst_slot:ch.dst_slot ~src:(Pid.Slots.get t.slots ch.src_slot)
+      payload
   end
 
 (* Channel tag for the explorer: src and dst slots packed into one int. The
@@ -213,7 +205,7 @@ let deliver t ch ~src ~dst ~category payload =
    receiving process. *)
 let chan_tag ch = (ch.src_slot lsl 16) lor ch.dst_slot
 
-let schedule_on t ch ~src ~dst ~category payload =
+let schedule_on t ch ~category payload =
   let sample = Delay.sample t.delay t.rng in
   let now = Gmp_sim.Engine.now t.engine in
   let earliest =
@@ -224,13 +216,13 @@ let schedule_on t ch ~src ~dst ~category payload =
   ch.last_delivery <- at;
   let (_ : Gmp_sim.Engine.handle) =
     Gmp_sim.Engine.schedule_at ~proc:ch.dst_slot ~chan:(chan_tag ch) t.engine
-      ~time:at (fun () -> deliver t ch ~src ~dst ~category payload)
+      ~time:at (fun () -> deliver t ch ~category payload)
   in
   ()
 
 let send t ~src ~dst ~category payload =
   if Pid.equal src dst then invalid_arg "Network.send: src = dst";
-  let ch = channel t ~src ~dst in
+  let ch = channel t (pid_slot t src) (pid_slot t dst) in
   if not t.crash_flags.(ch.src_slot) then begin
     Stats.record_sent t.stats ~category;
     (match t.monitor with
@@ -242,7 +234,7 @@ let send t ~src ~dst ~category payload =
            record_category = category;
            record_payload = payload;
            record_time = Gmp_sim.Engine.now t.engine });
-    schedule_on t ch ~src ~dst ~category payload
+    schedule_on t ch ~category payload
   end
 
 let heal t =
@@ -250,13 +242,15 @@ let heal t =
   (* Flush parked traffic in channel order with fresh delays. Channels are
      sorted by endpoint pair so the flush order (and thus the RNG draw
      order) is deterministic, not table order. *)
+  let n = npids t in
   let pending = ref [] in
-  for i = 0 to t.npids - 1 do
+  for i = 0 to n - 1 do
     let row = t.chan_rows.(i) in
-    for j = 0 to t.npids - 1 do
+    for j = 0 to n - 1 do
       let ch = row.(j) in
       if ch != t.dummy && not (Queue.is_empty ch.parked) then
-        pending := ((t.pids.(i), t.pids.(j)), ch) :: !pending
+        pending :=
+          ((Pid.Slots.get t.slots i, Pid.Slots.get t.slots j), ch) :: !pending
     done
   done;
   let pending =
@@ -266,20 +260,20 @@ let heal t =
       !pending
   in
   List.iter
-    (fun ((src, dst), ch) ->
+    (fun (_, ch) ->
       let msgs = Queue.fold (fun acc m -> m :: acc) [] ch.parked in
       Queue.clear ch.parked;
       List.iter
-        (fun { category; payload } ->
-          schedule_on t ch ~src ~dst ~category payload)
+        (fun { category; payload } -> schedule_on t ch ~category payload)
         (List.rev msgs))
     pending
 
 let parked_count t =
+  let n = npids t in
   let acc = ref 0 in
-  for i = 0 to t.npids - 1 do
+  for i = 0 to n - 1 do
     let row = t.chan_rows.(i) in
-    for j = 0 to t.npids - 1 do
+    for j = 0 to n - 1 do
       let ch = row.(j) in
       if ch != t.dummy then acc := !acc + Queue.length ch.parked
     done
@@ -289,7 +283,8 @@ let parked_count t =
 let slot_for t pid = pid_slot t pid
 
 let pid_of_slot t slot =
-  if slot >= 0 && slot < t.npids then Some t.pids.(slot) else None
+  if slot >= 0 && slot < npids t then Some (Pid.Slots.get t.slots slot)
+  else None
 
 let decode_chan t tag =
   if tag < 0 then None
@@ -321,10 +316,11 @@ type 'm checkpoint = {
 }
 
 let checkpoint t =
+  let n = npids t in
   let channels = ref [] in
-  for i = 0 to t.npids - 1 do
+  for i = 0 to n - 1 do
     let row = t.chan_rows.(i) in
-    for j = 0 to t.npids - 1 do
+    for j = 0 to n - 1 do
       let ch = row.(j) in
       if ch != t.dummy then
         channels :=
@@ -334,10 +330,10 @@ let checkpoint t =
   done;
   { cp_rng = Gmp_sim.Rng.checkpoint t.rng;
     cp_stats = Stats.checkpoint t.stats;
-    cp_npids = t.npids;
+    cp_npids = n;
     cp_channels = !channels;
-    cp_disc = Array.init t.npids (fun i -> Array.sub t.disc_rows.(i) 0 t.npids);
-    cp_crash = Array.sub t.crash_flags 0 t.npids;
+    cp_disc = Array.init n (fun i -> Array.sub t.disc_rows.(i) 0 n);
+    cp_crash = Array.sub t.crash_flags 0 n;
     cp_partition = t.partition }
 
 let restore t cp =
@@ -346,11 +342,8 @@ let restore t cp =
   t.partition <- cp.cp_partition;
   (* Forget pids interned after the capture, so a restored run re-interns
      them in the same order and gets the same slots. *)
-  for s = cp.cp_npids to t.npids - 1 do
-    Pid.Tbl.remove t.pid_slots t.pids.(s)
-  done;
-  let old_npids = t.npids in
-  t.npids <- cp.cp_npids;
+  let old_npids = npids t in
+  Pid.Slots.truncate t.slots cp.cp_npids;
   (* Wipe every slot that may have been touched since the capture, then
      reinstate the captured state. The wipe covers the pre-reset pid count:
      flags of dropped pids must not linger. *)
@@ -379,14 +372,15 @@ let restore t cp =
 let fp_combine h x = (h * 0x01000193) lxor (x land max_int)
 
 let fingerprint t =
-  let h = ref (fp_combine 0x811c9dc5 t.npids) in
-  for i = 0 to t.npids - 1 do
+  let n = npids t in
+  let h = ref (fp_combine 0x811c9dc5 n) in
+  for i = 0 to n - 1 do
     if t.crash_flags.(i) then h := fp_combine !h (i + 1)
   done;
   h := fp_combine !h 0x5eed;
-  for i = 0 to t.npids - 1 do
+  for i = 0 to n - 1 do
     let row = t.disc_rows.(i) in
-    for j = 0 to t.npids - 1 do
+    for j = 0 to n - 1 do
       if row.(j) then h := fp_combine !h ((i lsl 16) lor j)
     done
   done;
@@ -397,9 +391,9 @@ let fingerprint t =
      Pid.Map.iter
        (fun pid g -> h := fp_combine (fp_combine !h (Pid.id pid)) g)
        groups);
-  for i = 0 to t.npids - 1 do
+  for i = 0 to n - 1 do
     let row = t.chan_rows.(i) in
-    for j = 0 to t.npids - 1 do
+    for j = 0 to n - 1 do
       let ch = row.(j) in
       if ch != t.dummy && not (Queue.is_empty ch.parked) then
         h :=

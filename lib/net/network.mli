@@ -27,8 +27,10 @@ val create :
   unit ->
   'm t
 
-val set_handler : 'm t -> (dst:Pid.t -> src:Pid.t -> 'm -> unit) -> unit
-(** Install the delivery callback (the runtime's dispatcher). *)
+val set_handler : 'm t -> (dst_slot:int -> src:Pid.t -> 'm -> unit) -> unit
+(** Install the delivery callback (the runtime's dispatcher). It receives
+    the destination's {!slot_for} slot, which {!pid_of_slot} maps back to
+    the pid. *)
 
 val set_monitor : 'm t -> ('m send_record -> unit) -> unit
 (** Observe every send (for tracing); does not affect delivery. *)

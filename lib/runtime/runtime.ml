@@ -4,7 +4,9 @@
    Each node is a {!Gmp_platform.Shell} whose world is the engine (virtual
    time, timers tagged with the node's network slot) and the network
    (one stamped envelope per destination). The runtime's only own state
-   is the pid -> shell table the network's deliveries dispatch through. *)
+   is the shell array the network's deliveries dispatch through, indexed
+   by the destination's network slot, so a delivery finds its shell with
+   one array read. *)
 
 open Gmp_base
 open Gmp_causality
@@ -16,18 +18,19 @@ type 'm node = 'm Gmp_platform.Platform.node
 type 'm t = {
   engine : Gmp_sim.Engine.t;
   net : 'm wrapped Gmp_net.Network.t;
-  shells : 'm Shell.t Pid.Tbl.t;
+  mutable shells : 'm Shell.t option array; (* by network slot *)
 }
 
 let create ?(delay = Gmp_net.Delay.uniform ~lo:0.5 ~hi:1.5) ~seed () =
   let engine = Gmp_sim.Engine.create () in
   let rng = Gmp_sim.Rng.split (Gmp_sim.Rng.create seed) in
   let net = Gmp_net.Network.create ~engine ~rng ~delay () in
-  let t = { engine; net; shells = Pid.Tbl.create 32 } in
-  Gmp_net.Network.set_handler net (fun ~dst ~src w ->
-      match Pid.Tbl.find_opt t.shells dst with
-      | None -> ()
-      | Some shell -> Shell.deliver shell ~src w.sender_vc w.payload);
+  let t = { engine; net; shells = Array.make 16 None } in
+  Gmp_net.Network.set_handler net (fun ~dst_slot ~src w ->
+      if dst_slot < Array.length t.shells then
+        match t.shells.(dst_slot) with
+        | None -> ()
+        | Some shell -> Shell.deliver shell ~src w.sender_vc w.payload);
   t
 
 let engine t = t.engine
@@ -35,12 +38,19 @@ let network t = t.net
 let stats t = Gmp_net.Network.stats t.net
 
 let spawn t pid =
-  if Pid.Tbl.mem t.shells pid then
-    invalid_arg (Printf.sprintf "Runtime.spawn: %s exists" (Pid.to_string pid));
-  (* The network's dense slot for [pid] tags this node's timers. *)
+  (* The network's dense slot for [pid] tags this node's timers and indexes
+     its shell. *)
   let slot = Gmp_net.Network.slot_for t.net pid in
+  let len = Array.length t.shells in
+  if slot < len && Option.is_some t.shells.(slot) then
+    invalid_arg (Printf.sprintf "Runtime.spawn: %s exists" (Pid.to_string pid));
+  if slot >= len then begin
+    let shells = Array.make (max (2 * len) (slot + 1)) None in
+    Array.blit t.shells 0 shells 0 len;
+    t.shells <- shells
+  end;
   let shell = Shell.create pid in
-  Pid.Tbl.replace t.shells pid shell;
+  t.shells.(slot) <- Some shell;
   Shell.node shell
     { Shell.now = (fun () -> Gmp_sim.Engine.now t.engine);
       schedule =
@@ -59,28 +69,25 @@ let platform node = node
 
 let run ?max_steps ?until t = Gmp_sim.Engine.run ?max_steps ?until t.engine
 
-(* One shell capture per node. The engine and network are checkpointed
-   separately by the caller (Group). *)
-type 'm checkpoint = 'm Shell.checkpoint list
+(* One shell capture per node, with its slot. The engine and network are
+   checkpointed separately by the caller (Group). *)
+type 'm checkpoint = (int * 'm Shell.checkpoint) list
 
 let checkpoint t =
-  Pid.Tbl.fold (fun _ shell acc -> Shell.checkpoint shell :: acc) t.shells []
+  let cp = ref [] in
+  Array.iteri
+    (fun slot -> function
+      | None -> ()
+      | Some shell -> cp := (slot, Shell.checkpoint shell) :: !cp)
+    t.shells;
+  !cp
 
 let restore t cp =
   (* Drop nodes spawned after the capture, so a restored run re-spawns them
      identically (their network-side state is undone by Network.restore). *)
-  if Pid.Tbl.length t.shells > List.length cp then begin
-    let stale =
-      Pid.Tbl.fold
-        (fun pid _ acc ->
-          if
-            List.exists
-              (fun c -> Pid.equal (Shell.pid (Shell.captured c)) pid)
-              cp
-          then acc
-          else pid :: acc)
-        t.shells []
-    in
-    List.iter (Pid.Tbl.remove t.shells) stale
-  end;
-  List.iter Shell.restore cp
+  Array.fill t.shells 0 (Array.length t.shells) None;
+  List.iter
+    (fun (slot, c) ->
+      t.shells.(slot) <- Some (Shell.captured c);
+      Shell.restore c)
+    cp

@@ -104,7 +104,8 @@ let test_grace_period_for_new_peer () =
   feed_p1 0.5;
   ignore
     (Gmp_sim.Engine.schedule_at engine ~time:10.0 (fun () ->
-         current := [ p 1; p 2 ])
+         current := [ p 1; p 2 ];
+         Heartbeat.peers_changed d)
       : Gmp_sim.Engine.handle);
   let rec feed_p2 t =
     if t < 20.0 then
@@ -162,6 +163,7 @@ let test_departed_peer_pruned () =
   Heartbeat.beat_received d ~from:(p 2);
   check int "both tracked" 2 (Heartbeat.tracked d);
   current := [ p 1 ];
+  Heartbeat.peers_changed d;
   Gmp_sim.Engine.run ~until:2.5 engine;
   check int "departed peer pruned at tick" 1 (Heartbeat.tracked d)
 
@@ -227,6 +229,182 @@ let test_crash_script () =
   Gmp_sim.Engine.run engine;
   check (Alcotest.list int) "crash order" [ 1; 3 ] (List.rev !crashed)
 
+(* ---- oracle: the shipped detector against the list-based reference ----
+
+   Both detectors run in identical scripted worlds (a manual clock, one
+   timer slot, a mutable peer list) under the same random operation
+   sequence. They must send the same beat rounds and fire the same
+   suspicions in the same order, and agree on [tracked] and the last-heard
+   table after every operation, across checkpoint/restore too. With
+   [member_like], a suspicion does what [Member] does: forget the suspect
+   and drop it from the peer set mid-tick. *)
+
+module type DETECTOR = sig
+  type t
+  type checkpoint
+
+  val create :
+    now:(unit -> float) ->
+    set_timer:(delay:float -> (unit -> unit) -> Gmp_platform.Platform.timer) ->
+    interval:float ->
+    timeout:float ->
+    send_beats:(Pid.t list -> unit) ->
+    peers:(unit -> Pid.t list) ->
+    suspect:(Pid.t -> unit) ->
+    unit ->
+    t
+
+  val peers_changed : t -> unit
+  val start : t -> unit
+  val stop : t -> unit
+  val beat_received : t -> from:Pid.t -> unit
+  val forget : t -> Pid.t -> unit
+  val tracked : t -> int
+  val last_heard : t -> (Pid.t * float) list
+  val checkpoint : t -> checkpoint
+  val restore : t -> checkpoint -> unit
+end
+
+type oracle_op =
+  | Set_peers of int list
+  | Rememo (* an equal list, freshly allocated, as a re-memoized cache *)
+  | Beat of int
+  | Advance of float
+  | Tick
+  | Forget of int
+  | Stop
+  | Start
+  | Checkpoint
+  | Restore
+
+let pp_oracle_op ppf = function
+  | Set_peers ids -> Fmt.pf ppf "peers %a" Fmt.(Dump.list int) ids
+  | Rememo -> Fmt.string ppf "rememo"
+  | Beat i -> Fmt.pf ppf "beat p%d" i
+  | Advance dt -> Fmt.pf ppf "advance %g" dt
+  | Tick -> Fmt.string ppf "tick"
+  | Forget i -> Fmt.pf ppf "forget p%d" i
+  | Stop -> Fmt.string ppf "stop"
+  | Start -> Fmt.string ppf "start"
+  | Checkpoint -> Fmt.string ppf "checkpoint"
+  | Restore -> Fmt.string ppf "restore"
+
+(* One run's observable history: beat rounds, suspicions, and after every
+   op the tracked count and last-heard table. *)
+type observation =
+  | Beats of float * Pid.t list
+  | Suspected of float * Pid.t
+  | State of int * (Pid.t * float) list
+
+module Oracle_world (D : DETECTOR) = struct
+  let run ~member_like ops =
+    let now = ref 0.0 in
+    let timer = ref None and next_timer = ref 0 in
+    let current = ref [] in
+    let obs = ref [] in
+    let set_timer ~delay:_ f =
+      let id = !next_timer in
+      incr next_timer;
+      timer := Some (id, f);
+      { Gmp_platform.Platform.cancel =
+          (fun () ->
+            match !timer with
+            | Some (i, _) when i = id -> timer := None
+            | _ -> ()) }
+    in
+    let dref = ref None in
+    let d () = Option.get !dref in
+    let suspect q =
+      obs := Suspected (!now, q) :: !obs;
+      if member_like then begin
+        D.forget (d ()) q;
+        current := List.filter (fun r -> not (Pid.equal r q)) !current;
+        D.peers_changed (d ())
+      end
+    in
+    dref :=
+      Some
+        (D.create ~now:(fun () -> !now) ~set_timer ~interval:1.0 ~timeout:3.0
+           ~send_beats:(fun qs -> obs := Beats (!now, qs) :: !obs)
+           ~peers:(fun () -> !current)
+           ~suspect ());
+    let d = d () in
+    let saved = ref None in
+    List.iter
+      (fun op ->
+        (match op with
+         | Set_peers ids ->
+           current := List.map p ids;
+           D.peers_changed d
+         | Rememo ->
+           current := List.map Fun.id !current;
+           D.peers_changed d
+         | Beat i -> D.beat_received d ~from:(p i)
+         | Advance dt -> now := !now +. dt
+         | Tick -> (
+           now := !now +. 1.0;
+           match !timer with
+           | None -> ()
+           | Some (_, f) ->
+             timer := None;
+             f ())
+         | Forget i -> D.forget d (p i)
+         | Stop -> D.stop d
+         | Start -> D.start d
+         | Checkpoint ->
+           saved := Some (D.checkpoint d, !now, !timer, !current)
+         | Restore -> (
+           match !saved with
+           | None -> ()
+           | Some (cp, at, tm, cur) ->
+             now := at;
+             timer := tm;
+             current := cur;
+             D.restore d cp));
+        obs := State (D.tracked d, D.last_heard d) :: !obs)
+      ops;
+    List.rev !obs
+end
+
+module Shipped = Oracle_world (Heartbeat)
+module Reference = Oracle_world (Heartbeat_ref)
+
+let oracle_op_gen =
+  let open QCheck.Gen in
+  (* Peers come from p0..p5; p6 and p7 are never peers (strangers). *)
+  let subset =
+    map
+      (fun mask -> List.filter (fun i -> mask land (1 lsl i) <> 0) [ 0; 1; 2; 3; 4; 5 ])
+      (int_bound 63)
+  in
+  frequency
+    [ (3, map (fun ids -> Set_peers ids) subset);
+      (1, return (Set_peers []));
+      (1, return Rememo);
+      (6, map (fun i -> Beat i) (int_bound 7));
+      (3, map (fun k -> Advance (0.25 *. float_of_int (k + 1))) (int_bound 7));
+      (6, return Tick);
+      (1, map (fun i -> Forget i) (int_bound 7));
+      (1, return Stop);
+      (2, return Start);
+      (1, return Checkpoint);
+      (1, return Restore) ]
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"heartbeat: matches the list-based reference"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (member_like, ops) ->
+         Fmt.str "member_like=%b@ %a" member_like
+           Fmt.(list ~sep:semi pp_oracle_op)
+           ops)
+       QCheck.Gen.(
+         pair bool
+           (list_size (int_range 1 120) oracle_op_gen
+           |> map (fun ops -> Start :: ops))))
+    (fun (member_like, ops) ->
+      Shipped.run ~member_like ops = Reference.run ~member_like ops)
+
 let suite =
   [ Alcotest.test_case "heartbeat: beats sent per interval" `Quick
       test_beats_sent;
@@ -245,6 +423,7 @@ let suite =
     Alcotest.test_case "heartbeat: departed peers pruned" `Quick
       test_departed_peer_pruned;
     Alcotest.test_case "heartbeat: stop" `Quick test_stop;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
     Alcotest.test_case "heartbeat: invalid config" `Quick test_invalid_config;
     Alcotest.test_case "scripted: suspicion entries" `Quick test_scripted;
     Alcotest.test_case "scripted: crash script" `Quick test_crash_script ]

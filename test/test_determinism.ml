@@ -44,7 +44,7 @@ let test_conservation_over_heal () =
   let net =
     Network.create ~engine ~rng ~delay:(Delay.uniform ~lo:0.1 ~hi:2.0) ()
   in
-  Network.set_handler net (fun ~dst:_ ~src:_ _ -> ());
+  Network.set_handler net (fun ~dst_slot:_ ~src:_ _ -> ());
   let cat = Stats.intern "test" in
   let pids = Array.init 6 Pid.make in
   let send src dst = Network.send net ~src:pids.(src) ~dst:pids.(dst) ~category:cat () in

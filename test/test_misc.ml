@@ -181,8 +181,36 @@ let test_group_rejects_bad_sizes () =
   check bool "n=0 rejected" true
     (try ignore (Group.create ~n:0 ()); false with Invalid_argument _ -> true)
 
+(* Pid.Slots resolves most lookups by id alone; incarnations sharing an
+   id, truncation and ids past the id table must still fall back to the
+   hashed index. *)
+let test_pid_slots () =
+  let module S = Pid.Slots in
+  let s = S.create () in
+  let p3 = Pid.make 3 and p3' = Pid.reincarnate (Pid.make 3) in
+  let p5 = Pid.make 5 and far = Pid.make 1_000_000 in
+  let int = Alcotest.int in
+  Alcotest.check int "first" 0 (S.intern s p3);
+  Alcotest.check int "reincarnation gets its own slot" 1 (S.intern s p3');
+  Alcotest.check int "third" 2 (S.intern s p5);
+  Alcotest.check int "older incarnation still found" 0 (S.find s p3);
+  Alcotest.check int "newer incarnation found" 1 (S.find s p3');
+  Alcotest.check int "intern is idempotent" 0 (S.intern s p3);
+  Alcotest.check int "unknown pid" (-1) (S.find s (Pid.make 7));
+  Alcotest.check Alcotest.bool "get" true (Pid.equal (S.get s 1) p3');
+  S.truncate s 1;
+  Alcotest.check int "length after truncate" 1 (S.length s);
+  Alcotest.check int "truncated pid gone" (-1) (S.find s p3');
+  Alcotest.check int "truncated pid gone (2)" (-1) (S.find s p5);
+  Alcotest.check int "slot reused in order" 1 (S.intern s p5);
+  Alcotest.check int "large id interned" 2 (S.intern s far);
+  Alcotest.check int "large id found" 2 (S.find s far);
+  Alcotest.check Alcotest.bool "get past length raises" true
+    (match S.get s 3 with _ -> false | exception Invalid_argument _ -> true)
+
 let suite =
   [ Alcotest.test_case "stat: basics" `Quick test_stat_basic;
+    Alcotest.test_case "pid: dense slots" `Quick test_pid_slots;
     Alcotest.test_case "stat: percentiles" `Quick test_stat_percentiles;
     Alcotest.test_case "stat: singleton/empty" `Quick
       test_stat_singleton_and_empty;

@@ -80,20 +80,20 @@ let test_stats_counting () =
 let test_network_delivery () =
   let engine, net = make_net () in
   let received = ref [] in
-  Network.set_handler net (fun ~dst ~src msg ->
-      received := (dst, src, msg) :: !received);
+  Network.set_handler net (fun ~dst_slot ~src msg ->
+      received := (Network.pid_of_slot net dst_slot, src, msg) :: !received);
   Network.send net ~src:p0 ~dst:p1 ~category:(Stats.intern "test") "hello";
   Gmp_sim.Engine.run engine;
   check int "one delivery" 1 (List.length !received);
   let dst, src, msg = List.hd !received in
   check bool "fields" true
-    (Pid.equal dst p1 && Pid.equal src p0 && msg = "hello")
+    (dst = Some p1 && Pid.equal src p0 && msg = "hello")
 
 let test_network_fifo () =
   (* High-variance delays would reorder; the FIFO rule must prevent it. *)
   let engine, net = make_net ~delay:(Delay.uniform ~lo:0.1 ~hi:10.0) () in
   let received = ref [] in
-  Network.set_handler net (fun ~dst:_ ~src:_ msg -> received := msg :: !received);
+  Network.set_handler net (fun ~dst_slot:_ ~src:_ msg -> received := msg :: !received);
   for i = 1 to 50 do
     Network.send net ~src:p0 ~dst:p1 ~category:(Stats.intern "test") i
   done;
@@ -106,7 +106,7 @@ let test_network_fifo_per_channel_only () =
      is. *)
   let engine, net = make_net ~delay:(Delay.uniform ~lo:0.1 ~hi:5.0) () in
   let from0 = ref [] and from2 = ref [] in
-  Network.set_handler net (fun ~dst:_ ~src msg ->
+  Network.set_handler net (fun ~dst_slot:_ ~src msg ->
       if Pid.equal src p0 then from0 := msg :: !from0
       else from2 := msg :: !from2);
   for i = 1 to 20 do
@@ -123,7 +123,7 @@ let test_network_fifo_per_channel_only () =
 let test_network_crash_dst () =
   let engine, net = make_net () in
   let received = ref 0 in
-  Network.set_handler net (fun ~dst:_ ~src:_ _ -> incr received);
+  Network.set_handler net (fun ~dst_slot:_ ~src:_ _ -> incr received);
   Network.send net ~src:p0 ~dst:p1 ~category:(Stats.intern "t") ();
   Network.crash net p1;
   Network.send net ~src:p0 ~dst:p1 ~category:(Stats.intern "t") ();
@@ -135,7 +135,7 @@ let test_network_crash_dst () =
 let test_network_crash_src () =
   let engine, net = make_net () in
   let received = ref 0 in
-  Network.set_handler net (fun ~dst:_ ~src:_ _ -> incr received);
+  Network.set_handler net (fun ~dst_slot:_ ~src:_ _ -> incr received);
   Network.crash net p0;
   Network.send net ~src:p0 ~dst:p1 ~category:(Stats.intern "t") ();
   Gmp_sim.Engine.run engine;
@@ -146,7 +146,7 @@ let test_network_crash_src () =
 let test_network_s1_disconnect () =
   let engine, net = make_net () in
   let received = ref 0 in
-  Network.set_handler net (fun ~dst:_ ~src:_ _ -> incr received);
+  Network.set_handler net (fun ~dst_slot:_ ~src:_ _ -> incr received);
   (* One message in flight, then p1 cuts its channel from p0: even the
      in-flight message must be discarded (S1 is checked on delivery). *)
   Network.send net ~src:p0 ~dst:p1 ~category:(Stats.intern "t") ();
@@ -163,7 +163,7 @@ let test_network_s1_disconnect () =
 let test_network_partition_parks () =
   let engine, net = make_net () in
   let received = ref 0 in
-  Network.set_handler net (fun ~dst:_ ~src:_ _ -> incr received);
+  Network.set_handler net (fun ~dst_slot:_ ~src:_ _ -> incr received);
   Network.partition net [ [ p0 ]; [ p1; p2 ] ];
   Network.send net ~src:p0 ~dst:p1 ~category:(Stats.intern "t") ();
   Network.send net ~src:p1 ~dst:p2 ~category:(Stats.intern "t") ();
@@ -178,7 +178,7 @@ let test_network_partition_parks () =
 let test_network_partition_fifo_across_heal () =
   let engine, net = make_net ~delay:(Delay.uniform ~lo:0.1 ~hi:5.0) () in
   let received = ref [] in
-  Network.set_handler net (fun ~dst:_ ~src:_ msg -> received := msg :: !received);
+  Network.set_handler net (fun ~dst_slot:_ ~src:_ msg -> received := msg :: !received);
   Network.send net ~src:p0 ~dst:p1 ~category:(Stats.intern "t") 1;
   Gmp_sim.Engine.run engine;
   Network.partition net [ [ p0 ]; [ p1 ] ];
@@ -212,7 +212,7 @@ let test_network_self_send_rejected () =
 
 let test_network_monitor () =
   let engine, net = make_net () in
-  Network.set_handler net (fun ~dst:_ ~src:_ _ -> ());
+  Network.set_handler net (fun ~dst_slot:_ ~src:_ _ -> ());
   let seen = ref [] in
   Network.set_monitor net (fun r -> seen := Stats.name r.Network.record_category :: !seen);
   Network.send net ~src:p0 ~dst:p1 ~category:(Stats.intern "x") ();

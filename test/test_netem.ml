@@ -325,22 +325,27 @@ let test_live_group_checker_clean () =
   let config =
     { Config.default with heartbeat_interval = 0.3; heartbeat_timeout = 1.5 }
   in
-  let members =
-    List.map
-      (fun (pid, node) ->
-        let trace = Trace.create () in
-        ignore
-          (Member.create ~node:(Node.platform node) ~trace ~config ~initial ()
-            : Member.t);
-        (pid, node, trace))
-      nodes
-  in
+  (* Each member is built in the domain that runs it: a member's clock
+     ticks from its first trace event, and vector clocks are only
+     meaningful in the domain whose registry interned their slots. *)
   let domains =
     List.map
-      (fun (_, node, _) -> Domain.spawn (fun () -> Node.run ~until:4.0 node))
-      members
+      (fun (pid, node) ->
+        ( pid,
+          node,
+          Domain.spawn (fun () ->
+              let trace = Trace.create () in
+              ignore
+                (Member.create ~node:(Node.platform node) ~trace ~config
+                   ~initial ()
+                  : Member.t);
+              Node.run ~until:4.0 node;
+              trace) ))
+      nodes
   in
-  List.iter Domain.join domains;
+  let members =
+    List.map (fun (pid, node, d) -> (pid, node, Domain.join d)) domains
+  in
   List.iter (fun (_, node, _) -> Node.close node) members;
   let trace =
     Trace_io.reassemble
